@@ -16,82 +16,46 @@ speak about the set of states as a whole and answer "can it happen?".  When an
 access is neither always-hit nor always-miss but both a hit and a miss are
 shown possible, it is definitely-unknown and exact model checking would be
 wasted effort on it.
+
+States are plain int tuples aligned with the state space's blocks.  A must or
+may state is one bound per block.  An exists-hit state is its n bounds
+followed by the n must bounds it carries; an exists-miss state is its n
+bounds followed by the n carried may bounds.  The carried half equals the
+standalone must (resp. may) fixpoint, so exists-hit and exists-miss alone
+answer every question the four domains do.  None marks an unreachable vertex.
 """
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from .cfg import AccessId, AnyCfg, MemoryBlock, out_edges, reverse_post_order
+from .cfg import AccessId, Adjacency, AnyCfg, adjacency
 from .concrete import InitMode, StateSpace
 from .verdict import Verdict
 
+#: Unreachable marker usable by every domain: join identity, fixed by transfer.
+BOTTOM = None
 
-class _Bottom:
-    """Unreachable marker usable by every domain: join identity, fixed by transfer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "BOTTOM"
+#: An abstract state: one int per block (must, may) or two (exists-hit, exists-miss).
+Bounds = tuple[int, ...]
 
 
-BOTTOM = _Bottom()
-
-
-@dataclass(frozen=True)
-class MustState:
-    """Per-block upper bounds on age, valid in every reachable state."""
-
-    bounds: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MayState:
-    """Per-block lower bounds on age, valid in every reachable state."""
-
-    bounds: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class EhState:
-    """Upper bounds on the minimum age across reachable states, plus must info."""
-
-    bounds: tuple[int, ...]
-    must: MustState
-
-
-@dataclass(frozen=True)
-class EmState:
-    """Lower bounds on the maximum age across reachable states, plus may info."""
-
-    bounds: tuple[int, ...]
-    may: MayState
-
-
-def update_must(space: StateSpace, s: MustState, block: MemoryBlock) -> MustState:
-    """Access transfer for must bounds.
+def update_must(s: Bounds, i: int, k: int) -> Bounds:
+    """Access transfer for must bounds; `i` is the accessed block's position.
 
     The accessed block gets bound 0.  Another block's bound grows by one only
     when it is strictly below the accessed block's bound; larger or equal
     bounds already cover the aged state.
     """
-    i = space.index_of(block)
-    ab = s.bounds[i]
-    bounds = tuple(
-        0 if j == i else (v + 1 if v < ab else v) for j, v in enumerate(s.bounds)
-    )
-    return MustState(bounds)
+    m = s[i]
+    out = [v + 1 if v < m else v for v in s]
+    out[i] = 0
+    return tuple(out)
 
 
-def update_may(space: StateSpace, s: MayState, block: MemoryBlock) -> MayState:
+def update_may(s: Bounds, i: int, k: int) -> Bounds:
     """Access transfer for may bounds.
 
     The accessed block gets bound 0.  Another block's bound grows by one when
@@ -99,101 +63,94 @@ def update_may(space: StateSpace, s: MayState, block: MemoryBlock) -> MayState:
     be realized by one state twice, so aging is still guaranteed) and is not
     already k.
     """
-    i = space.index_of(block)
-    ab = s.bounds[i]
-    k = space.k
-    bounds = tuple(
-        0 if j == i else (v + 1 if v <= ab and v < k else v)
-        for j, v in enumerate(s.bounds)
-    )
-    return MayState(bounds)
+    m = min(s[i] + 1, k)
+    out = [v + 1 if v < m else v for v in s]
+    out[i] = 0
+    return tuple(out)
 
 
-def update_eh(space: StateSpace, s: EhState, block: MemoryBlock) -> EhState:
-    """Access transfer for exists-hit bounds.
+def update_eh(s: Bounds, i: int, k: int) -> Bounds:
+    """Access transfer for exists-hit bounds and their carried must bounds.
 
     Whether the best state ages block b' depends on where the accessed block
     can be: if its must bound is at most b's bound, some witness state keeps
-    b' unaged, otherwise every witness ages it (saturating at k).
+    b' unaged, otherwise every witness ages it (never past k, since the must
+    bound is at most k).  The must half ages below the same bound.
     """
-    i = space.index_of(block)
-    must_b = s.must.bounds[i]
-    k = space.k
-    bounds = []
-    for j, v in enumerate(s.bounds):
-        if j == i:
-            bounds.append(0)
-        elif must_b <= v:
-            bounds.append(v)
-        elif v < k:
-            bounds.append(v + 1)
-        else:
-            bounds.append(k)
-    return EhState(tuple(bounds), update_must(space, s.must, block))
+    n = len(s) >> 1
+    m = s[n + i]
+    out = [v + 1 if v < m else v for v in s]
+    out[i] = 0
+    out[n + i] = 0
+    return tuple(out)
 
 
-def update_em(space: StateSpace, s: EmState, block: MemoryBlock) -> EmState:
-    """Access transfer for exists-miss bounds.
+def update_em(s: Bounds, i: int, k: int) -> Bounds:
+    """Access transfer for exists-miss bounds and their carried may bounds.
 
     Mirror of the exists-hit transfer: if the accessed block's may bound is
     strictly below b's bound, the worst state for b' need not age it;
-    otherwise it is guaranteed to age (saturating at k).
+    otherwise it is guaranteed to age (saturating at k).  The may half ages
+    below the same bound.
     """
-    i = space.index_of(block)
-    may_b = s.may.bounds[i]
-    k = space.k
-    bounds = []
-    for j, v in enumerate(s.bounds):
-        if j == i:
-            bounds.append(0)
-        elif may_b < v:
-            bounds.append(v)
-        elif v < k:
-            bounds.append(v + 1)
-        else:
-            bounds.append(k)
-    return EmState(tuple(bounds), update_may(space, s.may, block))
+    n = len(s) >> 1
+    m = min(s[n + i] + 1, k)
+    out = [v + 1 if v < m else v for v in s]
+    out[i] = 0
+    out[n + i] = 0
+    return tuple(out)
 
 
-def join_must(s: MustState, t: MustState) -> MustState:
-    return MustState(tuple(map(max, s.bounds, t.bounds)))
+# Joins compare with `if`/`else` rather than map(min, ...): calling the
+# min and max builtins per element costs about twice as much.
 
 
-def join_may(s: MayState, t: MayState) -> MayState:
-    return MayState(tuple(map(min, s.bounds, t.bounds)))
+def join_must(s: Bounds, t: Bounds) -> Bounds:
+    return tuple([a if a > b else b for a, b in zip(s, t)])
 
 
-def join_eh(s: EhState, t: EhState) -> EhState:
-    return EhState(tuple(map(min, s.bounds, t.bounds)), join_must(s.must, t.must))
+def join_may(s: Bounds, t: Bounds) -> Bounds:
+    return tuple([a if a < b else b for a, b in zip(s, t)])
 
 
-def join_em(s: EmState, t: EmState) -> EmState:
-    return EmState(tuple(map(max, s.bounds, t.bounds)), join_may(s.may, t.may))
+def join_eh(s: Bounds, t: Bounds) -> Bounds:
+    n = len(s) >> 1
+    return tuple(
+        [a if a < b else b for a, b in zip(s[:n], t[:n])]
+        + [a if a > b else b for a, b in zip(s[n:], t[n:])]
+    )
 
 
-def _seed_must(space: StateSpace, init: InitMode) -> MustState:
+def join_em(s: Bounds, t: Bounds) -> Bounds:
+    n = len(s) >> 1
+    return tuple(
+        [a if a > b else b for a, b in zip(s[:n], t[:n])]
+        + [a if a < b else b for a, b in zip(s[n:], t[n:])]
+    )
+
+
+def _seed_must(space: StateSpace, init: InitMode) -> Bounds:
     # Both an empty and an unknown cache promise nothing cached.
-    return MustState((space.k,) * len(space.blocks))
+    return (space.k,) * len(space.blocks)
 
 
-def _seed_may(space: StateSpace, init: InitMode) -> MayState:
+def _seed_may(space: StateSpace, init: InitMode) -> Bounds:
     if init is InitMode.EMPTY:
-        return MayState((space.k,) * len(space.blocks))
-    return MayState((0,) * len(space.blocks))
+        return (space.k,) * len(space.blocks)
+    return (0,) * len(space.blocks)
 
 
-def _seed_eh(space: StateSpace, init: InitMode) -> EhState:
+def _seed_eh(space: StateSpace, init: InitMode) -> Bounds:
     # No hit promised at entry, even for the unknown cache: weakest sound seed.
-    return EhState((space.k,) * len(space.blocks), _seed_must(space, init))
+    return (space.k,) * len(space.blocks) + _seed_must(space, init)
 
 
-def _seed_em(space: StateSpace, init: InitMode) -> EmState:
-    if init is InitMode.EMPTY:
-        return EmState((space.k,) * len(space.blocks), _seed_may(space, init))
-    return EmState((0,) * len(space.blocks), _seed_may(space, init))
+def _seed_em(space: StateSpace, init: InitMode) -> Bounds:
+    return _seed_may(space, init) * 2
 
 
 #: An abstract domain bundled for the generic fixpoint engine.
+#: `update(s, i, k)` transfers state s over an access to block position i.
 Domain = namedtuple("Domain", ["name", "seed", "update", "join"])
 
 MUST = Domain("must", _seed_must, update_must, join_must)
@@ -201,7 +158,8 @@ MAY = Domain("may", _seed_may, update_may, join_may)
 EXISTS_HIT = Domain("exists-hit", _seed_eh, update_eh, join_eh)
 EXISTS_MISS = Domain("exists-miss", _seed_em, update_em, join_em)
 
-AbstractState = Union[MustState, MayState, EhState, EmState, _Bottom]
+#: Per-vertex fixpoint result; None at unreachable vertices.
+Fixpoint = dict[str, Optional[Bounds]]
 
 
 def fixpoint(
@@ -209,38 +167,54 @@ def fixpoint(
     g: AnyCfg,
     space: StateSpace,
     init: InitMode = InitMode.EMPTY,
-) -> dict[str, AbstractState]:
+    adj: Optional[Adjacency] = None,
+) -> Fixpoint:
     """Least fixpoint of a domain over a graph.
 
     Entry starts at the domain's seed, every other vertex at BOTTOM.  Access
     edges apply the domain transfer, no-access edges propagate unchanged, and
     joins accumulate at edge targets.  Vertices are visited in reverse
     post-order with FIFO re-queuing, so an acyclic graph converges in one
-    sweep.  Unreachable vertices stay BOTTOM.
+    sweep.  Unreachable vertices stay BOTTOM.  `adj`, the graph's adjacency
+    over `space.blocks`, is built when not given.
     """
-    adj = out_edges(g)
-    state: dict[str, AbstractState] = {v: BOTTOM for v in g.vertices}
+    if adj is None:
+        adj = adjacency(g, space.blocks)
+    succ = adj.succ
+    update, join, k = domain.update, domain.join, space.k
+    state: Fixpoint = dict.fromkeys(g.vertices)
     state[g.entry] = domain.seed(space, init)
 
-    order = reverse_post_order(g)
-    work = deque(order)
-    queued = set(order)
+    work = deque(adj.order)
+    queued = set(adj.order)
     while work:
         v = work.popleft()
         queued.discard(v)
         src = state[v]
-        if src is BOTTOM:
+        if src is None:
             continue
-        for e in adj[v]:
-            moved = src if e.block is None else domain.update(space, src, e.block)
-            old = state[e.dst]
-            new = moved if old is BOTTOM else domain.join(old, moved)
-            if new != old:
-                state[e.dst] = new
-                if e.dst not in queued:
-                    queued.add(e.dst)
-                    work.append(e.dst)
+        for dst, i in succ[v]:
+            moved = src if i < 0 else update(src, i, k)
+            old = state[dst]
+            if old is not None:
+                if moved == old:
+                    continue
+                moved = join(old, moved)
+                if moved == old:
+                    continue
+            state[dst] = moved
+            if dst not in queued:
+                queued.add(dst)
+                work.append(dst)
     return state
+
+
+def carried(fix: Fixpoint) -> Fixpoint:
+    """The carried half of an exists-hit or exists-miss fixpoint, per vertex.
+
+    That is the must (resp. may) fixpoint of the same graph.
+    """
+    return {v: None if s is None else s[len(s) >> 1:] for v, s in fix.items()}
 
 
 @dataclass(frozen=True)
@@ -260,10 +234,10 @@ class AiClassification:
 def ai_classify(
     space: StateSpace,
     access: AccessId,
-    must: dict[str, AbstractState],
-    may: dict[str, AbstractState],
-    eh: Optional[dict[str, AbstractState]] = None,
-    em: Optional[dict[str, AbstractState]] = None,
+    must: Fixpoint,
+    may: Fixpoint,
+    eh: Optional[Fixpoint] = None,
+    em: Optional[Fixpoint] = None,
 ) -> AiClassification:
     """Combine the domains' answers at one access, cheapest proof first.
 
@@ -271,20 +245,22 @@ def ai_classify(
     the exists-hit and exists-miss bounds decide definitely-unknown; when only
     one or neither of them is available or conclusive, the access stays
     unresolved with the flags recording which existential half is settled.
-    An access whose source is unreachable hits vacuously: always-hit.
+    An access whose source is unreachable hits vacuously: always-hit.  `eh`
+    and `em` may be exists fixpoints, read through their first half.
     """
     v = access.src
     i = space.index_of(access.block)
     k = space.k
     must_s = must[v]
-    if must_s is BOTTOM:
+    if must_s is None:
         return AiClassification(access, Verdict.ALWAYS_HIT, False, False)
-    if must_s.bounds[i] < k:
+    if must_s[i] < k:
         return AiClassification(access, Verdict.ALWAYS_HIT, True, False)
-    if may[v].bounds[i] == k:
+    if may[v][i] == k:
         return AiClassification(access, Verdict.ALWAYS_MISS, False, True)
-    exists_hit = eh is not None and eh[v] is not BOTTOM and eh[v].bounds[i] < k
-    exists_miss = em is not None and em[v] is not BOTTOM and em[v].bounds[i] == k
+    # must is reachable here, so every domain is: no None checks needed.
+    exists_hit = eh is not None and eh[v][i] < k
+    exists_miss = em is not None and em[v][i] == k
     if exists_hit and exists_miss:
         return AiClassification(access, Verdict.DEFINITELY_UNKNOWN, True, True)
     return AiClassification(access, None, exists_hit, exists_miss)

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 from .cfg import CacheConfig, Cfg, parse_cfg
 from .classify import ClassifyResult, Mode, Provenance, classify_all
-from .concrete import InitMode
-from .focused import DEFAULT_MC_BUDGET
+from .concrete import InitMode, OracleCapacityError
+from .focused import DEFAULT_MC_BUDGET, FocusedCapacityError
 
 log = logging.getLogger(__name__)
 
@@ -248,7 +248,6 @@ def run_experiment(
     init: InitMode = InitMode.EMPTY,
     *,
     simplify: bool = True,
-    jobs: int = 1,
     mc_budget: int = DEFAULT_MC_BUDGET,
     timings: bool = False,
 ) -> tuple[list[ExperimentRow], list[str]]:
@@ -264,9 +263,9 @@ def run_experiment(
         for mode in modes:
             try:
                 result = classify_all(
-                    g, config, init, mode, simplify=simplify, jobs=jobs, mc_budget=mc_budget
+                    g, config, init, mode, simplify=simplify, mc_budget=mc_budget
                 )
-            except Exception as exc:  # budget errors recorded, run continues
+            except (FocusedCapacityError, OracleCapacityError) as exc:
                 errors.append(f"{name} [{mode.value}]: {exc}")
                 log.warning("skipping %s [%s]: %s", name, mode.value, exc)
                 continue

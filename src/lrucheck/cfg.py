@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence
 
 
 class CfgError(Exception):
@@ -103,7 +103,10 @@ class ProjectedCfg:
     name: str = "cfg"
 
 
-AnyCfg = Union[Cfg, ProjectedCfg]
+# Unions of this package's classes use `|`, not typing.Union: typing caches
+# Union objects process-wide, which would keep every re-imported copy of the
+# package alive.
+AnyCfg = Cfg | ProjectedCfg
 
 
 @dataclass(frozen=True, order=True)
@@ -267,13 +270,15 @@ def out_edges(g: AnyCfg) -> dict[str, list[Edge]]:
     return adj
 
 
-def reverse_post_order(g: AnyCfg) -> list[str]:
+def reverse_post_order(g: AnyCfg, adj: Optional[dict[str, list[Edge]]] = None) -> list[str]:
     """Vertices reachable from the entry in reverse post-order.
 
     Unreachable vertices are appended afterwards in declaration order so the
-    result is always a total ordering of `g.vertices`.
+    result is always a total ordering of `g.vertices`.  `adj`, when given, is
+    the graph's `out_edges` map, saving its rebuild.
     """
-    adj = out_edges(g)
+    if adj is None:
+        adj = out_edges(g)
     visited: set[str] = set()
     post: list[str] = []
     # Iterative DFS; successor edges are explored in declaration order.
@@ -294,3 +299,27 @@ def reverse_post_order(g: AnyCfg) -> list[str]:
     order = list(reversed(post))
     order.extend(v for v in g.vertices if v not in visited)
     return order
+
+
+@dataclass(frozen=True)
+class Adjacency:
+    """A graph's successor lists with blocks as universe positions, plus its vertex order.
+
+    `succ[v]` lists `(dst, i)` per outgoing edge of v in edge order, where i is
+    the accessed block's position in the universe the map was built for, or -1
+    for a no-access edge.  `order` is the reverse post-order.
+    """
+
+    succ: dict[str, tuple[tuple[str, int], ...]]
+    order: tuple[str, ...]
+
+
+def adjacency(g: AnyCfg, blocks: Sequence[MemoryBlock]) -> Adjacency:
+    """Build the Adjacency of a graph over the block universe `blocks`."""
+    adj = out_edges(g)
+    position = {b: i for i, b in enumerate(blocks)}
+    succ = {
+        v: tuple((e.dst, -1 if e.block is None else position[e.block]) for e in edges)
+        for v, edges in adj.items()
+    }
+    return Adjacency(succ=succ, order=tuple(reverse_post_order(g, adj)))

@@ -13,9 +13,8 @@ import enum
 import logging
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .ai import (
     EXISTS_HIT,
@@ -23,10 +22,22 @@ from .ai import (
     MAY,
     MUST,
     AiClassification,
+    Fixpoint,
     ai_classify,
+    carried,
     fixpoint,
 )
-from .cfg import AccessId, CacheConfig, Cfg, ProjectedCfg, accesses_of, block_universe, project
+from .cfg import (
+    AccessId,
+    CacheConfig,
+    Cfg,
+    MemoryBlock,
+    ProjectedCfg,
+    accesses_of,
+    adjacency,
+    block_universe,
+    project,
+)
 from .concrete import (
     DEFAULT_ORACLE_BUDGET,
     InitMode,
@@ -36,9 +47,12 @@ from .concrete import (
 )
 from .focused import (
     DEFAULT_MC_BUDGET,
+    FocusedModel,
+    all_live,
     check_access,
     focused_reach,
     initial_focused,
+    live_facts,
     refutation_exit,
     simplify_for,
     unsimplified_model,
@@ -157,6 +171,81 @@ def _final_flags(verdict: Verdict, reachable: bool) -> tuple[bool, bool]:
     return (True, True)
 
 
+_AI_PROVENANCE = {
+    Verdict.ALWAYS_HIT: Provenance.MUST,
+    Verdict.ALWAYS_MISS: Provenance.MAY,
+    Verdict.DEFINITELY_UNKNOWN: Provenance.EH_EM,
+}
+
+
+@dataclass
+class SetAnalysis:
+    """The abstract phase of one cache set, and what the focused phase needs of it.
+
+    `settled` holds the accesses the abstract domains decide; `residual` the
+    rest, in access order, with the existential halves already known.  `may`
+    is the per-vertex may fixpoint, None in mc-only mode.
+    """
+
+    graph: ProjectedCfg
+    space: StateSpace
+    accesses: list[AccessId]
+    settled: dict[AccessId, FinalVerdict]
+    residual: list[AiClassification]
+    may: Optional[Fixpoint]
+
+    def residual_by_block(self) -> dict[MemoryBlock, list[AiClassification]]:
+        """Residual accesses grouped by block, blocks in ascending order."""
+        by_block: dict[MemoryBlock, list[AiClassification]] = {}
+        for c in self.residual:
+            by_block.setdefault(c.access.block, []).append(c)
+        return {b: by_block[b] for b in sorted(by_block)}
+
+    def model_factory(self, simplify: bool) -> Callable[[MemoryBlock], FocusedModel]:
+        """Focused model per block; the per-set live facts are built once, here."""
+        pg, space, may = self.graph, self.space, self.may
+        if simplify and may is not None:
+            facts = live_facts(pg, may, space)
+            return lambda block: simplify_for(pg, block, may, space, facts)
+        facts = all_live(pg)
+        return lambda block: unsimplified_model(pg, block, space.k, facts)
+
+
+def abstract_phase(pg: ProjectedCfg, k: int, init: InitMode, mode: Mode) -> SetAnalysis:
+    """Run the abstract domains of `mode` over one projected graph.
+
+    ai+mc and ai-only run exists-hit and exists-miss only: their carried
+    halves are the must and may fixpoints.  ai+mc-no-du runs must and may.
+    mc-only runs nothing and leaves every access residual.
+    """
+    accesses = accesses_of(pg)
+    space = StateSpace(k=k, blocks=block_universe(pg))
+    settled: dict[AccessId, FinalVerdict] = {}
+    if mode is Mode.MC_ONLY or not accesses:
+        residual = [AiClassification(a, None, False, False) for a in accesses]
+        return SetAnalysis(pg, space, accesses, settled, residual, None)
+
+    adj = adjacency(pg, space.blocks)
+    if mode is Mode.AI_MC_NO_DU:
+        must = fixpoint(MUST, pg, space, init, adj)
+        may = fixpoint(MAY, pg, space, init, adj)
+        eh = em = None
+    else:
+        eh = fixpoint(EXISTS_HIT, pg, space, init, adj)
+        em = fixpoint(EXISTS_MISS, pg, space, init, adj)
+        must, may = carried(eh), carried(em)
+    residual = []
+    for a in accesses:
+        c = ai_classify(space, a, must, may, eh, em)
+        if c.verdict is not None:
+            settled[a] = FinalVerdict(
+                a, pg.set_index, c.verdict, _AI_PROVENANCE[c.verdict], c.exists_hit, c.exists_miss
+            )
+        else:
+            residual.append(c)
+    return SetAnalysis(pg, space, accesses, settled, residual, may)
+
+
 def _classify_set(
     pg: ProjectedCfg,
     k: int,
@@ -166,54 +255,23 @@ def _classify_set(
     mc_budget: int,
 ) -> tuple[dict[AccessId, FinalVerdict], PhaseStats]:
     stats = PhaseStats()
-    accesses = accesses_of(pg)
-    if not accesses:
-        return {}, stats
-    space = StateSpace(k=k, blocks=block_universe(pg))
-    results: dict[AccessId, FinalVerdict] = {}
-    residual: list[AiClassification] = []
-
     t0 = time.perf_counter()
-    may_fix = None
-    if mode is Mode.MC_ONLY:
-        residual = [AiClassification(a, None, False, False) for a in accesses]
-    else:
-        must_fix = fixpoint(MUST, pg, space, init)
-        may_fix = fixpoint(MAY, pg, space, init)
-        with_du = mode in (Mode.AI_ONLY, Mode.AI_MC)
-        eh_fix = fixpoint(EXISTS_HIT, pg, space, init) if with_du else None
-        em_fix = fixpoint(EXISTS_MISS, pg, space, init) if with_du else None
-        ai_provenance = {
-            Verdict.ALWAYS_HIT: Provenance.MUST,
-            Verdict.ALWAYS_MISS: Provenance.MAY,
-            Verdict.DEFINITELY_UNKNOWN: Provenance.EH_EM,
-        }
-        for a in accesses:
-            c = ai_classify(space, a, must_fix, may_fix, eh_fix, em_fix)
-            if c.verdict is not None:
-                results[a] = FinalVerdict(
-                    a, pg.set_index, c.verdict, ai_provenance[c.verdict], c.exists_hit, c.exists_miss
-                )
-            else:
-                residual.append(c)
+    analysis = abstract_phase(pg, k, init, mode)
+    if not analysis.accesses:
+        return {}, stats
+    results = dict(analysis.settled)
     stats.t_ai_ms = (time.perf_counter() - t0) * 1000.0
 
     t1 = time.perf_counter()
     if mode is Mode.AI_ONLY:
-        for c in residual:
+        for c in analysis.residual:
             results[c.access] = FinalVerdict(
                 c.access, pg.set_index, None, Provenance.UNRESOLVED, c.exists_hit, c.exists_miss
             )
-    elif residual:
-        by_block: dict = {}
-        for c in residual:
-            by_block.setdefault(c.access.block, []).append(c)
-        for block in sorted(by_block):
-            group = by_block[block]
-            if simplify and may_fix is not None:
-                model = simplify_for(pg, block, may_fix, space)
-            else:
-                model = unsimplified_model(pg, block, k)
+    elif analysis.residual:
+        model_for = analysis.model_factory(simplify)
+        for block, group in analysis.residual_by_block().items():
+            model = model_for(block)
             init_states = initial_focused(model.universe, block, k, init)
             goals = [(c.access.src, c.exists_hit, c.exists_miss) for c in group]
             reach = focused_reach(
@@ -258,29 +316,20 @@ def classify_all(
     mode: Mode = Mode.AI_MC,
     *,
     simplify: bool = True,
-    jobs: int = 1,
     mc_budget: int = DEFAULT_MC_BUDGET,
 ) -> ClassifyResult:
     """Classify every access of a program, one cache set at a time.
 
-    Sets are independent, so with `jobs` above one they run in a thread pool;
-    results are merged in set order and reported in the program's access
-    order, so the output never depends on scheduling.
+    Results are merged in set order and reported in the program's access
+    order.
     """
-    per_set_inputs = [project(g, s, config) for s in range(config.num_sets)]
-
-    def run(pg: ProjectedCfg):
-        return _classify_set(pg, config.associativity, init, mode, simplify, mc_budget)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_set = list(pool.map(run, per_set_inputs))
-    else:
-        per_set = [run(pg) for pg in per_set_inputs]
-
     merged: dict[AccessId, FinalVerdict] = {}
     stats = PhaseStats()
-    for results, set_stats in per_set:
+    for s in range(config.num_sets):
+        pg = project(g, s, config)
+        results, set_stats = _classify_set(
+            pg, config.associativity, init, mode, simplify, mc_budget
+        )
         merged.update(results)
         stats.absorb(set_stats)
     ordered = [merged[a] for a in accesses_of(g)]
@@ -302,10 +351,16 @@ class OracleEntry:
 
 @dataclass
 class OracleReport:
+    """The oracle comparison, plus the pipeline classification it compared.
+
+    `classification` is None only in reports built by hand.
+    """
+
     entries: list[OracleEntry]
     n_checked: int
     n_disagreements: int
     n_mc_resolved: int
+    classification: Optional[ClassifyResult] = None
 
 
 def verify_against_oracle(
@@ -315,7 +370,6 @@ def verify_against_oracle(
     mode: Mode = Mode.AI_MC,
     *,
     simplify: bool = True,
-    jobs: int = 1,
     mc_budget: int = DEFAULT_MC_BUDGET,
     oracle_budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> OracleReport:
@@ -326,9 +380,7 @@ def verify_against_oracle(
     flags contradicts the oracle: a known-possible hit against always-miss, or
     a known-possible miss against always-hit.
     """
-    result = classify_all(
-        g, config, init, mode, simplify=simplify, jobs=jobs, mc_budget=mc_budget
-    )
+    result = classify_all(g, config, init, mode, simplify=simplify, mc_budget=mc_budget)
     by_access = {fv.access: fv for fv in result.verdicts}
 
     entries: list[OracleEntry] = []
@@ -367,4 +419,5 @@ def verify_against_oracle(
         n_checked=len(entries),
         n_disagreements=sum(1 for e in entries if not e.agree),
         n_mc_resolved=sum(1 for e in entries if e.mc_resolved),
+        classification=result,
     )

@@ -28,16 +28,10 @@ from .bench import (
     summarize,
     write_csv,
 )
-from .cfg import CacheConfig, CfgParseError, accesses_of, block_universe, load_cfg, project
-from .classify import Mode, classify_all, verify_against_oracle
-from .concrete import DEFAULT_ORACLE_BUDGET, InitMode, StateSpace
-from .focused import (
-    DEFAULT_MC_BUDGET,
-    export_smv,
-    simplify_for,
-    smv_filename,
-    unsimplified_model,
-)
+from .cfg import CacheConfig, CfgParseError, load_cfg, project
+from .classify import Mode, abstract_phase, classify_all, verify_against_oracle
+from .concrete import DEFAULT_ORACLE_BUDGET, InitMode
+from .focused import DEFAULT_MC_BUDGET, export_smv, smv_filename
 from .report import build_report, render_report
 
 EXIT_OK = 0
@@ -58,8 +52,6 @@ def _add_cache_flags(p: argparse.ArgumentParser) -> None:
                    help="cache line size in bytes (power of two)")
     p.add_argument("--init", choices=[m.value for m in InitMode], default="empty",
                    help="initial cache contents")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker threads over cache sets")
     p.add_argument("--budget-oracle", type=int, default=DEFAULT_ORACLE_BUDGET,
                    help="state budget for the exact oracle")
     p.add_argument("--budget-mc", type=int, default=DEFAULT_MC_BUDGET,
@@ -205,16 +197,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     g = load_cfg(args.input, config)
     init = InitMode(args.init)
     mode = Mode(args.mode)
-    result = classify_all(
-        g, config, init, mode,
-        simplify=not args.no_simplify, jobs=args.jobs, mc_budget=args.budget_mc,
-    )
     oracle = None
     if args.with_oracle:
         oracle = verify_against_oracle(
             g, config, init, mode,
-            simplify=not args.no_simplify, jobs=args.jobs,
+            simplify=not args.no_simplify,
             mc_budget=args.budget_mc, oracle_budget=args.budget_oracle,
+        )
+        result = oracle.classification
+    else:
+        result = classify_all(
+            g, config, init, mode, simplify=not args.no_simplify, mc_budget=args.budget_mc,
         )
     doc = build_report(
         g, config, init, mode, result,
@@ -232,18 +225,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g = load_cfg(args.input, config)
     init = InitMode(args.init)
     mode = Mode(args.mode)
-    result = classify_all(
-        g, config, init, mode,
-        simplify=not args.no_simplify, jobs=args.jobs, mc_budget=args.budget_mc,
-    )
     oracle = verify_against_oracle(
         g, config, init, mode,
-        simplify=not args.no_simplify, jobs=args.jobs,
+        simplify=not args.no_simplify,
         mc_budget=args.budget_mc, oracle_budget=args.budget_oracle,
     )
     if args.out:
         doc = build_report(
-            g, config, init, mode, result, simplify=not args.no_simplify, oracle=oracle,
+            g, config, init, mode, oracle.classification,
+            simplify=not args.no_simplify, oracle=oracle,
         )
         _write_text(args.out, render_report(doc))
     status = "ok" if oracle.n_disagreements == 0 else "DISAGREE"
@@ -256,47 +246,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_export_smv(args: argparse.Namespace) -> int:
-    from .ai import MAY, fixpoint
-
     config = _cache_config(args)
     g = load_cfg(args.input, config)
     init = InitMode(args.init)
     mode = Mode(args.mode)
-    simplify = not args.no_simplify
     os.makedirs(args.outdir, exist_ok=True)
 
     written: list[str] = []
     known_blocks: set[int] = set()
     for s in range(config.num_sets):
-        pg = project(g, s, config)
-        accesses = accesses_of(pg)
-        if not accesses:
+        analysis = abstract_phase(project(g, s, config), config.associativity, init, mode)
+        if not analysis.accesses:
             continue
-        universe = block_universe(pg)
-        known_blocks.update(b.index for b in universe)
-        space = StateSpace(k=config.associativity, blocks=universe)
-        may_fix = fixpoint(MAY, pg, space, init) if mode is not Mode.MC_ONLY else None
+        known_blocks.update(b.index for b in analysis.space.blocks)
 
         if args.block is not None:
-            targets_by_block = {
-                b: [a for a in accesses if a.block == b]
-                for b in universe
-                if b.index == args.block
-            }
-            targets_by_block = {b: t for b, t in targets_by_block.items() if t}
+            targets_by_block: dict = {}
+            for a in analysis.accesses:
+                if a.block.index == args.block:
+                    targets_by_block.setdefault(a.block, []).append(a)
         else:
-            residual = _residual_accesses(pg, space, init, mode)
-            targets_by_block = {}
-            for a in residual:
-                targets_by_block.setdefault(a.block, []).append(a)
+            targets_by_block = {
+                block: [c.access for c in group]
+                for block, group in analysis.residual_by_block().items()
+            }
 
-        for block in sorted(targets_by_block):
-            targets = targets_by_block[block]
-            if simplify and may_fix is not None:
-                model = simplify_for(pg, block, may_fix, space)
-            else:
-                model = unsimplified_model(pg, block, config.associativity)
-            text = export_smv(model, init, targets)
+        model_for = analysis.model_factory(simplify=not args.no_simplify)
+        for block, targets in targets_by_block.items():
+            text = export_smv(model_for(block), init, targets)
             path = os.path.join(args.outdir, smv_filename(g.name, s, block))
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -310,23 +287,6 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
     for path in written:
         sys.stdout.write(path + "\n")
     return EXIT_OK
-
-
-def _residual_accesses(pg, space, init, mode):
-    from .ai import EXISTS_HIT, EXISTS_MISS, MAY, MUST, ai_classify, fixpoint
-
-    accesses = accesses_of(pg)
-    if mode is Mode.MC_ONLY:
-        return accesses
-    must_fix = fixpoint(MUST, pg, space, init)
-    may_fix = fixpoint(MAY, pg, space, init)
-    with_du = mode in (Mode.AI_ONLY, Mode.AI_MC)
-    eh_fix = fixpoint(EXISTS_HIT, pg, space, init) if with_du else None
-    em_fix = fixpoint(EXISTS_MISS, pg, space, init) if with_du else None
-    return [
-        a for a in accesses
-        if ai_classify(space, a, must_fix, may_fix, eh_fix, em_fix).verdict is None
-    ]
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -375,8 +335,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     rows, errors = run_experiment(
         programs, config, modes, init,
-        simplify=not args.no_simplify, jobs=args.jobs,
-        mc_budget=args.budget_mc, timings=args.timings,
+        simplify=not args.no_simplify, mc_budget=args.budget_mc, timings=args.timings,
     )
     write_csv(rows, args.out)
     for err in errors:
@@ -403,19 +362,31 @@ _COMMANDS = {
 }
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("CACHE_ORACLE_LOG", "").strip().lower()
-    levels = {"": logging.WARNING, "0": logging.WARNING, "1": logging.INFO, "2": logging.DEBUG,
-              "info": logging.INFO, "debug": logging.DEBUG, "warning": logging.WARNING}
+#: Accepted values of the LRUCHECK_LOG environment variable (case-insensitive).
+_LOG_LEVELS = {"": logging.WARNING, "0": logging.WARNING, "1": logging.INFO, "2": logging.DEBUG,
+               "warning": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
+
+
+def _setup_logging() -> Optional[str]:
+    """Log to stderr at the LRUCHECK_LOG level; returns an error for an unknown level."""
+    raw = os.environ.get("LRUCHECK_LOG", "")
+    level = _LOG_LEVELS.get(raw.strip().lower())
+    if level is None:
+        return (f"LRUCHECK_LOG={raw!r} is not a log level; "
+                "use warning, info, debug, 0, 1 or 2")
     logging.basicConfig(
         stream=sys.stderr,
-        level=levels.get(level_name, logging.INFO),
+        level=level,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    return None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _setup_logging()
+    log_error = _setup_logging()
+    if log_error is not None:
+        sys.stderr.write(f"error: {log_error}\n")
+        return EXIT_USAGE
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -74,9 +75,6 @@ class StateSpace:
     def empty_state(self) -> ConcreteState:
         return (self.k,) * len(self.blocks)
 
-    def as_mapping(self, q: ConcreteState) -> dict[MemoryBlock, int]:
-        return dict(zip(self.blocks, q))
-
     def is_valid(self, q: ConcreteState) -> bool:
         """Check the LRU state invariant.
 
@@ -89,6 +87,11 @@ class StateSpace:
             return False
         cached = sorted(a for a in q if a < self.k)
         return len(cached) <= self.k and cached == list(range(len(cached)))
+
+    def count_states(self) -> int:
+        """How many valid states `all_states` enumerates, without enumerating them."""
+        n = len(self.blocks)
+        return sum(math.perm(n, c) for c in range(min(self.k, n) + 1))
 
     def all_states(self) -> list[ConcreteState]:
         """Every valid state over this universe, in deterministic order."""
@@ -148,16 +151,18 @@ def collecting_semantics(
     empty set.  Raises OracleCapacityError when the total number of
     (vertex, state) pairs exceeds `budget`.
     """
-    adj = out_edges(g)
-    reach: dict[str, set[ConcreteState]] = {v: set() for v in g.vertices}
-    reach[g.entry] = set(initial_states(space, init))
-    total = len(reach[g.entry])
+    # Check the seed count before enumerating: an unknown cache over a large
+    # universe has more initial states than any budget can hold.
+    total = 1 if init is InitMode.EMPTY else space.count_states()
     if total > budget:
         raise OracleCapacityError(
             f"oracle needs more than {budget} (vertex, state) pairs on {g.name!r}"
         )
+    adj = out_edges(g)
+    reach: dict[str, set[ConcreteState]] = {v: set() for v in g.vertices}
+    reach[g.entry] = set(initial_states(space, init))
 
-    order = reverse_post_order(g)
+    order = reverse_post_order(g, adj)
     from collections import deque
 
     work = deque(order)
@@ -225,16 +230,3 @@ def space_for(g: ProjectedCfg, config_associativity: int) -> StateSpace:
 
     return StateSpace(k=config_associativity, blocks=block_universe(g))
 
-
-def classify_exact(
-    g: ProjectedCfg,
-    k: int,
-    init: InitMode = InitMode.EMPTY,
-    budget: int = DEFAULT_ORACLE_BUDGET,
-) -> dict[AccessId, Verdict]:
-    """Oracle verdicts for every access of one projected graph."""
-    from .cfg import accesses_of
-
-    space = space_for(g, k)
-    reach = collecting_semantics(g, space, init, budget)
-    return {a: exact_classify(space, reach, a) for a in accesses_of(g)}

@@ -19,10 +19,10 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .cfg import AccessId, Edge, MemoryBlock, ProjectedCfg, block_universe, out_edges
-from .ai import BOTTOM, AbstractState
+from .ai import Fixpoint
 from .concrete import ConcreteState, InitMode, StateSpace
 from .verdict import Verdict
 
@@ -50,7 +50,8 @@ class _Epsilon:
 EPSILON = _Epsilon()
 
 #: Focused state: EPSILON, or the frozen set of blocks younger than the focus.
-FocusedState = Union[_Epsilon, frozenset]
+#: (A `|` union, not typing.Union; see cfg.AnyCfg.)
+FocusedState = _Epsilon | frozenset
 
 
 def alpha_focus(space: StateSpace, q: ConcreteState, focus: MemoryBlock) -> FocusedState:
@@ -113,25 +114,57 @@ class FocusedModel:
     simplified: bool
 
 
-def _model_universe(
-    graph: ProjectedCfg, focus: MemoryBlock, live: dict[str, frozenset]
-) -> tuple[MemoryBlock, ...]:
-    blocks: set = set().union(*live.values()) if live else set()
-    blocks |= {e.block for e in graph.edges if e.block is not None}
-    blocks.discard(focus)
-    return tuple(sorted(blocks))
+@dataclass(frozen=True)
+class LiveFacts:
+    """Which blocks can be cached where, for one projected graph.
+
+    These facts do not depend on the focused block, so the models of every
+    block of one graph share them.  `live_blocks[v]` holds the blocks that can
+    be cached when control is at v; `blocks` is their union, sorted.
+    """
+
+    live_blocks: dict[str, frozenset]
+    blocks: tuple[MemoryBlock, ...]
 
 
-def unsimplified_model(g: ProjectedCfg, focus: MemoryBlock, k: int) -> FocusedModel:
-    """Focused model over the raw projection: every block live everywhere."""
-    universe = block_universe(g)
-    live = {v: frozenset(universe) for v in g.vertices}
+def all_live(g: ProjectedCfg) -> LiveFacts:
+    """Facts without pruning: every accessed block live at every vertex."""
+    blocks = block_universe(g)
+    return LiveFacts(dict.fromkeys(g.vertices, frozenset(blocks)), blocks)
+
+
+def live_facts(g: ProjectedCfg, may_fix: Fixpoint, space: StateSpace) -> LiveFacts:
+    """Facts from the may bounds: a block is live at v unless its bound there is k.
+
+    Unreachable vertices (BOTTOM in the may fixpoint) get empty live sets.
+    """
+    k = space.k
+    by_bounds: dict = {None: frozenset()}
+    live: dict[str, frozenset] = {}
+    for v in g.vertices:
+        s = may_fix[v]
+        fs = by_bounds.get(s)
+        if fs is None:
+            fs = by_bounds[s] = frozenset(b for b, x in zip(space.blocks, s) if x < k)
+        live[v] = fs
+    return LiveFacts(live, tuple(sorted(set().union(*by_bounds.values()))))
+
+
+def unsimplified_model(
+    g: ProjectedCfg, focus: MemoryBlock, k: int, facts: Optional[LiveFacts] = None
+) -> FocusedModel:
+    """Focused model over the raw projection: every block live everywhere.
+
+    `facts`, when given, must be `all_live(g)`.
+    """
+    if facts is None:
+        facts = all_live(g)
     return FocusedModel(
         graph=g,
         focus=focus,
         k=k,
-        live_blocks=live,
-        universe=tuple(b for b in universe if b != focus),
+        live_blocks=facts.live_blocks,
+        universe=tuple(b for b in facts.blocks if b != focus),
         simplified=False,
     )
 
@@ -139,8 +172,9 @@ def unsimplified_model(g: ProjectedCfg, focus: MemoryBlock, k: int) -> FocusedMo
 def simplify_for(
     g: ProjectedCfg,
     focus: MemoryBlock,
-    may_fix: dict[str, AbstractState],
+    may_fix: Fixpoint,
     space: StateSpace,
+    facts: Optional[LiveFacts] = None,
 ) -> FocusedModel:
     """Shrink a projection to what can matter for the focused block.
 
@@ -156,24 +190,26 @@ def simplify_for(
     Unreachable vertices (BOTTOM in the may fixpoint) get empty live sets and
     their access edges relabeled; no state ever reaches them.  Relabeling can
     create no-access self-loops, which are dropped like in projection.
+
+    `facts`, when given, must be `live_facts(g, may_fix, space)`.  The
+    universe is the union of the live sets minus the focus; it covers every
+    block still accessed, since a kept access edge leaves a reachable source
+    and so makes its block live at the target.
     """
+    if facts is None:
+        facts = live_facts(g, may_fix, space)
     k = space.k
     focus_i = space.index_of(focus)
 
-    def may_bound(v: str, i: int) -> int:
-        s = may_fix[v]
-        if s is BOTTOM:
-            return k
-        return s.bounds[i]
-
     edges: list[Edge] = []
     for e in g.edges:
-        block = e.block
-        if block is not None and block != focus and may_bound(e.src, focus_i) >= k:
-            block = None
-        if block is None and e.src == e.dst:
+        if e.block is not None and e.block != focus:
+            s = may_fix[e.src]
+            if s is None or s[focus_i] >= k:
+                e = Edge(e.src, None, e.dst)
+        if e.block is None and e.src == e.dst:
             continue
-        edges.append(Edge(e.src, block, e.dst))
+        edges.append(e)
     graph = ProjectedCfg(
         entry=g.entry,
         vertices=g.vertices,
@@ -181,20 +217,12 @@ def simplify_for(
         set_index=g.set_index,
         name=g.name,
     )
-
-    live: dict[str, frozenset] = {}
-    for v in g.vertices:
-        s = may_fix[v]
-        if s is BOTTOM:
-            live[v] = frozenset()
-        else:
-            live[v] = frozenset(b for i, b in enumerate(space.blocks) if s.bounds[i] < k)
     return FocusedModel(
         graph=graph,
         focus=focus,
         k=k,
-        live_blocks=live,
-        universe=_model_universe(graph, focus, live),
+        live_blocks=facts.live_blocks,
+        universe=tuple(b for b in facts.blocks if b != focus),
         simplified=True,
     )
 
@@ -281,7 +309,6 @@ class McVerdict:
 
     access: AccessId
     result: Verdict
-    states_explored: int
     early_exit: bool
 
 
@@ -315,21 +342,21 @@ def check_access(
 
     if exists_hit:
         if saw_eps:
-            return McVerdict(access, Verdict.DEFINITELY_UNKNOWN, reach.explored, reach.partial)
+            return McVerdict(access, Verdict.DEFINITELY_UNKNOWN, reach.partial)
         complete()
-        return McVerdict(access, Verdict.ALWAYS_HIT, reach.explored, reach.partial)
+        return McVerdict(access, Verdict.ALWAYS_HIT, reach.partial)
     if exists_miss:
         if saw_cached:
-            return McVerdict(access, Verdict.DEFINITELY_UNKNOWN, reach.explored, reach.partial)
+            return McVerdict(access, Verdict.DEFINITELY_UNKNOWN, reach.partial)
         complete()
-        return McVerdict(access, Verdict.ALWAYS_MISS, reach.explored, reach.partial)
+        return McVerdict(access, Verdict.ALWAYS_MISS, reach.partial)
     if not saw_eps:
         complete()
-        return McVerdict(access, Verdict.ALWAYS_HIT, reach.explored, reach.partial)
+        return McVerdict(access, Verdict.ALWAYS_HIT, reach.partial)
     if not saw_cached:
         complete()
-        return McVerdict(access, Verdict.ALWAYS_MISS, reach.explored, reach.partial)
-    return McVerdict(access, Verdict.DEFINITELY_UNKNOWN, reach.explored, reach.partial)
+        return McVerdict(access, Verdict.ALWAYS_MISS, reach.partial)
+    return McVerdict(access, Verdict.DEFINITELY_UNKNOWN, reach.partial)
 
 
 def refutation_exit(

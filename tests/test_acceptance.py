@@ -23,10 +23,6 @@ from lrucheck.ai import (
     EXISTS_MISS,
     MAY,
     MUST,
-    EhState,
-    EmState,
-    MayState,
-    MustState,
     fixpoint,
     join_eh,
     join_em,
@@ -121,7 +117,7 @@ def test_check_1_loop_fixpoint_tables():
         for v, table in expected.items():
             for name, code in table.items():
                 want = tuple(digit[c] for c in code)
-                got = fixes[name][v].bounds
+                got = fixes[name][v][: len(space.blocks)]  # exists states: own half first
                 if got != want:
                     failures.append(f"k={k}: {name}[{v}] = {got}, want {want}")
         result = classify_all(g, config, InitMode.EMPTY, Mode.AI_MC)
@@ -239,6 +235,7 @@ def _existential_update_violations(space, hit_side):
     the min-age domain (over must pools) or the max-age one (over may pools).
     """
     k, blocks = space.k, space.blocks
+    n = len(blocks)
     states = space.all_states()
     src_min, src_max = _mask_tables(states)
     sigs = src_min if hit_side else src_max
@@ -252,29 +249,27 @@ def _existential_update_violations(space, hit_side):
     for pool_bounds in bounds_list:
         if hit_side:
             pool = _pool_mask(states, pool_bounds, lambda a, v: a <= v)
-            s_pool = MustState(pool_bounds)
         else:
             pool = _pool_mask(states, pool_bounds, lambda a, v: a >= v)
-            s_pool = MayState(pool_bounds)
         if pool == 0:
             continue
         subs = np.fromiter(_submasks(pool), dtype=np.int64)
         src = np.array([sigs[s] for s in subs], dtype=np.int16)
-        for b in blocks:
+        for bi, b in enumerate(blocks):
             img = np.array([img_sigs[b][s] for s in subs], dtype=np.int16)
             bad_cache: dict = {}
             for ex in bounds_list:
                 if hit_side:
-                    s2 = update_eh(space, EhState(ex, s_pool), b)
-                    pool2 = s2.must.bounds
+                    s2 = update_eh(ex + pool_bounds, bi, k)
+                    s2_bounds, pool2 = s2[:n], s2[n:]
                     valid = (src <= np.array(ex, dtype=np.int16)).all(axis=1)
-                    sig_ok = (img <= np.array(s2.bounds, dtype=np.int16)).all(axis=1)
+                    sig_ok = (img <= np.array(s2_bounds, dtype=np.int16)).all(axis=1)
                     escaped = lambda q: any(a > v for a, v in zip(q, pool2))
                 else:
-                    s2 = update_em(space, EmState(ex, s_pool), b)
-                    pool2 = s2.may.bounds
+                    s2 = update_em(ex + pool_bounds, bi, k)
+                    s2_bounds, pool2 = s2[:n], s2[n:]
                     valid = (src >= np.array(ex, dtype=np.int16)).all(axis=1)
-                    sig_ok = (img >= np.array(s2.bounds, dtype=np.int16)).all(axis=1)
+                    sig_ok = (img >= np.array(s2_bounds, dtype=np.int16)).all(axis=1)
                     escaped = lambda q: any(a < v for a, v in zip(q, pool2))
                 if pool2 not in bad_cache:
                     bad = 0
@@ -323,14 +318,15 @@ def _existential_join_violations(space, hit_side):
                 if not good:
                     continue
                 extreme = tuple(max(col) for col in zip(*good))
-                realizable.append((EhState(ex, MustState(pool_bounds)), pool, extreme))
+                realizable.append((ex + pool_bounds, pool, extreme))
             else:
                 good = [v for v in sigset if all(x >= y for x, y in zip(v, ex))]
                 if not good:
                     continue
                 extreme = tuple(min(col) for col in zip(*good))
-                realizable.append((EmState(ex, MayState(pool_bounds)), pool, extreme))
+                realizable.append((ex + pool_bounds, pool, extreme))
 
+    n = len(blocks)
     checked = 0
     violations = []
     for s1, pool1, w1 in realizable:
@@ -338,12 +334,12 @@ def _existential_join_violations(space, hit_side):
             checked += 1
             if hit_side:
                 j = join_eh(s1, s2)
-                jpool = pools[j.must.bounds][0]
-                sig_bad = any(x > e and y > e for x, y, e in zip(w1, w2, j.bounds))
+                jpool = pools[j[n:]][0]
+                sig_bad = any(x > e and y > e for x, y, e in zip(w1, w2, j[:n]))
             else:
                 j = join_em(s1, s2)
-                jpool = pools[j.may.bounds][0]
-                sig_bad = any(x < e and y < e for x, y, e in zip(w1, w2, j.bounds))
+                jpool = pools[j[n:]][0]
+                sig_bad = any(x < e and y < e for x, y, e in zip(w1, w2, j[:n]))
             if (pool1 | pool2) & ~jpool:
                 violations.append(("pool", s1, s2))
             elif sig_bad:
@@ -362,19 +358,21 @@ def _existential_join_direct(space, hit_side):
         for ex in bounds_list:
             if hit_side:
                 pool = [q for q in states if all(a <= v for a, v in zip(q, pool_bounds))]
-                absts.append((EhState(ex, MustState(pool_bounds)), pool))
+                absts.append((ex + pool_bounds, pool))
             else:
                 pool = [q for q in states if all(a >= v for a, v in zip(q, pool_bounds))]
-                absts.append((EmState(ex, MayState(pool_bounds)), pool))
+                absts.append((ex + pool_bounds, pool))
+
+    n = len(blocks)
 
     def in_gamma(qs, s):
         if hit_side:
-            if any(any(a > v for a, v in zip(q, s.must.bounds)) for q in qs):
+            if any(any(a > v for a, v in zip(q, s[n:])) for q in qs):
                 return False
-            return all(min(q[i] for q in qs) <= s.bounds[i] for i in range(len(blocks)))
-        if any(any(a < v for a, v in zip(q, s.may.bounds)) for q in qs):
+            return all(min(q[i] for q in qs) <= s[i] for i in range(n))
+        if any(any(a < v for a, v in zip(q, s[n:])) for q in qs):
             return False
-        return all(max(q[i] for q in qs) >= s.bounds[i] for i in range(len(blocks)))
+        return all(max(q[i] for q in qs) >= s[i] for i in range(n))
 
     def valid_sets(s, pool):
         out = []

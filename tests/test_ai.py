@@ -23,13 +23,10 @@ from lrucheck.ai import (
     Domain,
     EXISTS_HIT,
     EXISTS_MISS,
-    EhState,
-    EmState,
     MAY,
     MUST,
-    MayState,
-    MustState,
     ai_classify,
+    carried,
     fixpoint,
     join_eh,
     join_em,
@@ -40,9 +37,16 @@ from lrucheck.ai import (
     update_may,
     update_must,
 )
-from lrucheck.cfg import accesses_of, block_universe, project
+from lrucheck.bench import GenSpec, generate
+from lrucheck.cfg import CacheConfig, accesses_of, block_universe, project
 from lrucheck.concrete import InitMode, StateSpace
 from lrucheck.verdict import Verdict
+
+
+def halves(s):
+    """(own bounds, carried bounds) of a flat exists-hit or exists-miss state."""
+    n = len(s) // 2
+    return s[:n], s[n:]
 
 
 def loop_fixpoints(k):
@@ -66,10 +70,10 @@ def test_loop_fixpoint_golden(k):
         "exit": ((1, 0), (1, 0), (1, 0), (1, 0)),
     }
     for v, (must_b, may_b, eh_b, em_b) in expected.items():
-        assert fp["must"][v].bounds == must_b, v
-        assert fp["may"][v].bounds == may_b, v
-        assert fp["exists-hit"][v].bounds == eh_b, v
-        assert fp["exists-miss"][v].bounds == em_b, v
+        assert fp["must"][v] == must_b, v
+        assert fp["may"][v] == may_b, v
+        assert halves(fp["exists-hit"][v])[0] == eh_b, v
+        assert halves(fp["exists-miss"][v])[0] == em_b, v
 
 
 def test_loop_classification_definitely_unknown():
@@ -87,8 +91,8 @@ def test_loop_classification_definitely_unknown():
 def test_eh_component_tracks_must_and_em_tracks_may():
     space, fp = loop_fixpoints(2)
     for v in fp["must"]:
-        assert fp["exists-hit"][v].must == fp["must"][v]
-        assert fp["exists-miss"][v].may == fp["may"][v]
+        assert halves(fp["exists-hit"][v])[1] == fp["must"][v]
+        assert halves(fp["exists-miss"][v])[1] == fp["may"][v]
 
 
 @given(st.integers(0, 60))
@@ -107,10 +111,32 @@ def test_existential_bounds_bracket_universal_bounds(seed):
             if must[v] is BOTTOM:
                 assert may[v] is BOTTOM and eh[v] is BOTTOM and em[v] is BOTTOM
                 continue
-            assert eh[v].must == must[v]
-            assert em[v].may == may[v]
-            assert all(e <= m for e, m in zip(eh[v].bounds, must[v].bounds))
-            assert all(e >= m for e, m in zip(em[v].bounds, may[v].bounds))
+            eh_b, eh_must = halves(eh[v])
+            em_b, em_may = halves(em[v])
+            assert eh_must == must[v]
+            assert em_may == may[v]
+            assert all(e <= m for e, m in zip(eh_b, must[v]))
+            assert all(e >= m for e, m in zip(em_b, may[v]))
+
+
+@pytest.mark.parametrize("init", list(InitMode), ids=str)
+def test_exists_fixpoints_carry_must_and_may(init):
+    # Two fixpoints answer for four: at every vertex of every cache set, the
+    # carried half of exists-hit is the must fixpoint and the carried half of
+    # exists-miss is the may fixpoint.
+    programs = corpus_programs(30, base_seed=700, sets=None)
+    config = CacheConfig(associativity=4, num_sets=2, block_size=8)
+    for seed in range(4):
+        spec = GenSpec(vertices=120, loops=12, depth=3, blocks=12, seed=seed)
+        programs.append((f"loops{seed}", config, generate(spec, config)))
+    for name, config, g in programs:
+        for s in range(config.num_sets):
+            pg = project(g, s, config)
+            space = StateSpace(k=config.associativity, blocks=block_universe(pg))
+            eh = fixpoint(EXISTS_HIT, pg, space, init)
+            em = fixpoint(EXISTS_MISS, pg, space, init)
+            assert carried(eh) == fixpoint(MUST, pg, space, init), (name, s)
+            assert carried(em) == fixpoint(MAY, pg, space, init), (name, s)
 
 
 # --- transfer soundness against the concrete semantics ------------------------
@@ -120,10 +146,9 @@ def test_update_must_sound_exhaustive():
     for n, k in [(1, 1), (2, 2), (1, 3)]:
         space = space_for(n, k)
         for bounds in all_bounds(n, k):
-            s = MustState(bounds)
-            for b in space.blocks:
-                s2 = update_must(space, s, b)
-                allowed = set(gamma_must(space, s2.bounds))
+            for i, b in enumerate(space.blocks):
+                s2 = update_must(bounds, i, k)
+                allowed = set(gamma_must(space, s2))
                 for q in gamma_must(space, bounds):
                     assert space.update(q, b) in allowed, (bounds, b, q)
 
@@ -132,10 +157,9 @@ def test_update_may_sound_exhaustive():
     for n, k in [(1, 1), (2, 2), (1, 3)]:
         space = space_for(n, k)
         for bounds in all_bounds(n, k):
-            s = MayState(bounds)
-            for b in space.blocks:
-                s2 = update_may(space, s, b)
-                allowed = set(gamma_may(space, s2.bounds))
+            for i, b in enumerate(space.blocks):
+                s2 = update_may(bounds, i, k)
+                allowed = set(gamma_may(space, s2))
                 for q in gamma_may(space, bounds):
                     assert space.update(q, b) in allowed, (bounds, b, q)
 
@@ -149,15 +173,15 @@ def test_update_eh_sound_exhaustive():
         pool = gamma_must(space, must_b)
         subsets = list(nonempty_subsets(pool))
         for eh_b in all_bounds(2, 2):
-            s = EhState(eh_b, MustState(must_b))
+            s = eh_b + must_b
             fitting = [S for S in subsets if eh_holds(S, eh_b)]
             if not fitting:
                 continue
-            for b in space.blocks:
-                s2 = update_eh(space, s, b)
+            for i, b in enumerate(space.blocks):
+                s2 = update_eh(s, i, space.k)
                 for S in fitting:
                     S2 = [space.update(q, b) for q in S]
-                    assert eh_holds(S2, s2.bounds), (must_b, eh_b, b, S)
+                    assert eh_holds(S2, halves(s2)[0]), (must_b, eh_b, b, S)
 
 
 def test_update_em_sound_exhaustive():
@@ -166,15 +190,15 @@ def test_update_em_sound_exhaustive():
         pool = gamma_may(space, may_b)
         subsets = list(nonempty_subsets(pool))
         for em_b in all_bounds(2, 2):
-            s = EmState(em_b, MayState(may_b))
+            s = em_b + may_b
             fitting = [S for S in subsets if em_holds(S, em_b)]
             if not fitting:
                 continue
-            for b in space.blocks:
-                s2 = update_em(space, s, b)
+            for i, b in enumerate(space.blocks):
+                s2 = update_em(s, i, space.k)
                 for S in fitting:
                     S2 = [space.update(q, b) for q in S]
-                    assert em_holds(S2, s2.bounds), (may_b, em_b, b, S)
+                    assert em_holds(S2, halves(s2)[0]), (may_b, em_b, b, S)
 
 
 def test_join_must_and_may_sound_exhaustive():
@@ -182,11 +206,11 @@ def test_join_must_and_may_sound_exhaustive():
     vecs = list(all_bounds(2, 2))
     for sb in vecs:
         for tb in vecs:
-            jm = join_must(MustState(sb), MustState(tb)).bounds
+            jm = join_must(sb, tb)
             allowed = set(gamma_must(space, jm))
             assert set(gamma_must(space, sb)) <= allowed
             assert set(gamma_must(space, tb)) <= allowed
-            jy = join_may(MayState(sb), MayState(tb)).bounds
+            jy = join_may(sb, tb)
             allowed = set(gamma_may(space, jy))
             assert set(gamma_may(space, sb)) <= allowed
             assert set(gamma_may(space, tb)) <= allowed
@@ -204,7 +228,7 @@ def test_join_eh_sound_exhaustive():
             s_sets = [S for S in subsets if set(S) <= s_pool and eh_holds(S, s_eh)]
             if not s_sets:
                 continue
-            s = EhState(s_eh, MustState(s_must))
+            s = s_eh + s_must
             for t_must in vecs:
                 t_pool = set(gamma_must(space, t_must))
                 for t_eh in vecs:
@@ -215,13 +239,13 @@ def test_join_eh_sound_exhaustive():
                     ]
                     if not t_sets:
                         continue
-                    j = join_eh(s, EhState(t_eh, MustState(t_must)))
-                    pool = set(gamma_must(space, j.must.bounds))
+                    j_eh, j_must = halves(join_eh(s, t_eh + t_must))
+                    pool = set(gamma_must(space, j_must))
                     for S in s_sets:
                         for T in t_sets:
                             u = set(S) | set(T)
                             assert u <= pool
-                            assert eh_holds(list(u), j.bounds)
+                            assert eh_holds(list(u), j_eh)
 
 
 def test_join_em_sound_exhaustive():
@@ -234,7 +258,7 @@ def test_join_em_sound_exhaustive():
             s_sets = [S for S in subsets if set(S) <= s_pool and em_holds(S, s_em)]
             if not s_sets:
                 continue
-            s = EmState(s_em, MayState(s_may))
+            s = s_em + s_may
             for t_may in vecs:
                 t_pool = set(gamma_may(space, t_may))
                 for t_em in vecs:
@@ -245,13 +269,13 @@ def test_join_em_sound_exhaustive():
                     ]
                     if not t_sets:
                         continue
-                    j = join_em(s, EmState(t_em, MayState(t_may)))
-                    pool = set(gamma_may(space, j.may.bounds))
+                    j_em, j_may = halves(join_em(s, t_em + t_may))
+                    pool = set(gamma_may(space, j_may))
                     for S in s_sets:
                         for T in t_sets:
                             u = set(S) | set(T)
                             assert u <= pool
-                            assert em_holds(list(u), j.bounds)
+                            assert em_holds(list(u), j_em)
 
 
 # --- join algebra --------------------------------------------------------------
@@ -262,10 +286,10 @@ bound_vec = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
 @given(bound_vec, bound_vec, bound_vec)
 def test_join_algebra(a, b, c):
     for mk, join in [
-        (lambda v: MustState(v), join_must),
-        (lambda v: MayState(v), join_may),
-        (lambda v: EhState(v, MustState(v)), join_eh),
-        (lambda v: EmState(v, MayState(v)), join_em),
+        (lambda v: v, join_must),
+        (lambda v: v, join_may),
+        (lambda v: v + v, join_eh),
+        (lambda v: v + v, join_em),
     ]:
         x, y, z = mk(a), mk(b), mk(c)
         assert join(x, x) == x
@@ -279,9 +303,9 @@ def test_join_algebra(a, b, c):
 def test_fixpoint_single_sweep_on_dag(k2_config, straight2):
     calls = []
 
-    def counting_update(space, s, block):
-        calls.append(block)
-        return update_must(space, s, block)
+    def counting_update(s, i, k):
+        calls.append(i)
+        return update_must(s, i, k)
 
     dom = Domain("counting", MUST.seed, counting_update, MUST.join)
     pg = project(straight2, 0, k2_config)
@@ -312,9 +336,8 @@ def test_fixpoint_entry_and_unreachable(k2_config):
 
 
 def test_bottom_is_a_singleton():
-    from lrucheck.ai import _Bottom
-
-    assert _Bottom() is BOTTOM
+    # BOTTOM is None: one shared marker, distinct from every state tuple.
+    assert BOTTOM is None
 
 
 # --- classification ------------------------------------------------------------

@@ -183,6 +183,18 @@ def test_run_experiment_records_budget_errors():
     assert [r.mode for r in rows] == ["ai-only"]
 
 
+def test_run_experiment_propagates_crashes(monkeypatch):
+    # Only budget errors are recorded and skipped; anything else is a bug.
+    def crash(*args, **kwargs):
+        raise RuntimeError("crash")
+
+    monkeypatch.setattr("lrucheck.bench.classify_all", crash)
+    config = small_config(k=2)
+    g = build_cfg("a", ["a", "b"], [("a", "b", 0)], config)
+    with pytest.raises(RuntimeError, match="crash"):
+        run_experiment([("tiny", 0, g)], config, modes=(Mode.AI_MC,))
+
+
 def test_timings_recorded_only_on_request():
     config = small_config(k=2)
     g = build_cfg("a", ["a", "b", "c"], [("a", "b", 0), ("b", "c", 0)], config)

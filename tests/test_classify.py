@@ -200,29 +200,11 @@ def test_focused_run_ordering_on_corpus(init):
         assert runs[Mode.AI_MC] <= runs[Mode.AI_MC_NO_DU] <= runs[Mode.MC_ONLY], name
 
 
-def strip_timings(stats):
-    return (
-        stats.n_accesses,
-        stats.verdict_counts,
-        stats.provenance_counts,
-        stats.focused_runs,
-        stats.mc_access_checks,
-        stats.states_explored,
-    )
-
-
-def test_parallel_sets_deterministic():
-    config = small_config(k=2, sets=2)
-    g = build_cfg(
-        "a", ["a", "b", "c", "d"],
-        [("a", "b", 0), ("b", "c", 8), ("c", "d", 16), ("d", "b", 24),
-         ("d", "a", None)],
-        config,
-    )
-    serial = classify_all(g, config, jobs=1)
-    threaded = classify_all(g, config, jobs=4)
-    assert serial.verdicts == threaded.verdicts
-    assert strip_timings(serial.stats) == strip_timings(threaded.stats)
+def test_oracle_report_carries_its_classification(k2_config, loop2):
+    report = verify_against_oracle(loop2, k2_config, mode=Mode.MC_ONLY)
+    direct = classify_all(loop2, k2_config, mode=Mode.MC_ONLY)
+    assert report.classification.verdicts == direct.verdicts
+    assert report.classification.stats.states_explored == direct.stats.states_explored
 
 
 @pytest.mark.parametrize("mode", [Mode.AI_MC, Mode.AI_ONLY])

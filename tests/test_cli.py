@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,11 @@ LOOP_JSON = REPO / "docs" / "examples" / "loop.json"
 SCHEMA = json.loads((REPO / "docs" / "report.schema.json").read_text(encoding="utf-8"))
 
 LOOP_FLAGS = ["--assoc", "2", "--sets", "1", "--block-size", "8"]
+
+#: Reports of `analyze docs/examples/NAME.json` with LOOP_FLAGS and
+#: `--with-oracle`, per mode and initial cache, recorded before the abstract
+#: phase moved to two fixpoints over flat states.
+GOLDEN = REPO / "tests" / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +144,39 @@ def test_verify_disagreement_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", str(LOOP_JSON), *LOOP_FLAGS)
     assert code == 1
     assert out.startswith("DISAGREE: 2 accesses checked, 1 disagreements")
+
+
+@pytest.mark.parametrize("init", ["empty", "unknown"])
+@pytest.mark.parametrize("mode", ["ai-only", "ai+mc", "mc-only", "ai+mc-no-du"])
+@pytest.mark.parametrize("example", ["loop", "straightline"])
+def test_golden_reports(capsys, example, mode, init):
+    code, out, err = run_cli(
+        capsys, "analyze", str(REPO / "docs" / "examples" / f"{example}.json"),
+        *LOOP_FLAGS, "--mode", mode, "--init", init, "--with-oracle",
+    )
+    assert code == 0
+    assert out == (GOLDEN / f"{example}.{mode}.{init}.json").read_text(encoding="utf-8")
+
+
+def test_oracle_runs_classify_once(capsys, monkeypatch, tmp_path):
+    import lrucheck.classify
+
+    calls = []
+    real = lrucheck.classify.classify_all
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("lrucheck.classify.classify_all", counting)
+    monkeypatch.setattr("lrucheck.cli.classify_all", counting)
+    path = miss_graph_file(tmp_path)
+    code, _, _ = run_cli(
+        capsys, "verify", str(path), *LOOP_FLAGS, "--out", str(tmp_path / "v.json")
+    )
+    assert (code, len(calls)) == (0, 1)
+    code, _, _ = run_cli(capsys, "analyze", str(path), *LOOP_FLAGS, "--with-oracle")
+    assert (code, len(calls)) == (0, 2)
 
 
 def test_export_smv_residual_blocks(capsys, tmp_path):
@@ -338,6 +377,27 @@ def test_input_error_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
+def test_log_level_variable(tmp_path):
+    path = miss_graph_file(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lrucheck.cli", "analyze", str(path), *LOOP_FLAGS],
+        capture_output=True, text=True, env=dict(os.environ, LRUCHECK_LOG="debug"),
+    )
+    assert proc.returncode == 0
+    assert "DEBUG lrucheck.classify: focused run" in proc.stderr
+
+
+def test_bad_log_level_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("LRUCHECK_LOG", "verbose")
+    code, out, err = run_cli(capsys, "analyze", str(LOOP_JSON), *LOOP_FLAGS)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: LRUCHECK_LOG='verbose' is not a log level; "
+        "use warning, info, debug, 0, 1 or 2\n"
+    )
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -351,3 +411,24 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "usage: lrucheck" in proc.stdout
+
+
+def test_reimport_frees_previous_package():
+    # Re-importing lrucheck must not keep the previous copy's classes alive
+    # (module-level typing.Union aliases of them once did, through typing's
+    # process-wide cache).
+    code = (
+        "import gc, importlib, sys, weakref\n"
+        "def fresh():\n"
+        "    for n in [n for n in sys.modules if n.split('.')[0] == 'lrucheck']:\n"
+        "        del sys.modules[n]\n"
+        "    importlib.import_module('lrucheck.cli')\n"
+        "    return sys.modules\n"
+        "mods = fresh()\n"
+        "old = [weakref.ref(mods['lrucheck.cfg'].Cfg), weakref.ref(type(mods['lrucheck.focused'].EPSILON))]\n"
+        "fresh()\n"
+        "gc.collect()\n"
+        "sys.exit(sum(r() is not None for r in old))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

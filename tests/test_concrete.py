@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -145,6 +147,24 @@ def test_collecting_budget_error(k2_config, loop2):
     space = StateSpace(k=2, blocks=blocks_for(2))
     with pytest.raises(OracleCapacityError, match="more than 3"):
         collecting_semantics(pg, space, InitMode.EMPTY, budget=3)
+
+
+def test_count_states_matches_enumeration():
+    for n, k in [(0, 2), (1, 1), (3, 2), (5, 4), (2, 4), (4, 3)]:
+        space = space_for(n, k)
+        assert space.count_states() == len(space.all_states()), (n, k)
+
+
+def test_collecting_budget_checked_before_enumeration(k2_config):
+    # An unknown 4-way cache over 40 blocks has 2,254,241 initial states;
+    # the budget must refuse them without enumerating them.
+    g = project(build_cfg("a", ["a", "b"], [("a", "b", None)], k2_config), 0, k2_config)
+    space = StateSpace(k=4, blocks=blocks_for(40))
+    assert space.count_states() == 2_254_241
+    t0 = time.perf_counter()
+    with pytest.raises(OracleCapacityError, match="more than 1000"):
+        collecting_semantics(g, space, InitMode.UNKNOWN, budget=1000)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_collecting_monotone_in_initial_states(k2_config, loop2):
