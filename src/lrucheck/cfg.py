@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 
@@ -58,7 +59,7 @@ class CacheConfig:
         return MemoryBlock(idx, self.set_of_block(idx))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class MemoryBlock:
     """One cache-line-sized block of memory, identified by its block index."""
 
@@ -69,7 +70,7 @@ class MemoryBlock:
         return f"b{self.index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A CFG edge.  `block` is the accessed memory block, or None for no access."""
 
@@ -86,6 +87,14 @@ class Cfg:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     name: str = "cfg"
+
+    @cached_property
+    def blanked(self) -> tuple[Edge, ...]:
+        """Every edge as a no-access edge, in edge order.
+
+        Built once, so the projections of every cache set share these objects.
+        """
+        return tuple(e if e.block is None else Edge(e.src, None, e.dst) for e in self.edges)
 
 
 @dataclass(frozen=True)
@@ -227,13 +236,12 @@ def project(g: Cfg, set_index: int, config: CacheConfig) -> ProjectedCfg:
     if not 0 <= set_index < config.num_sets:
         raise ValueError(f"set_index {set_index} out of range for {config.num_sets} sets")
     kept: list[Edge] = []
-    for e in g.edges:
-        block = e.block
-        if block is not None and block.set_index != set_index:
-            block = None
-        if block is None and e.src == e.dst:
-            continue
-        kept.append(Edge(e.src, block, e.dst))
+    for e, blank in zip(g.edges, g.blanked):
+        if e.block is None or e.block.set_index != set_index:
+            if e.src == e.dst:
+                continue
+            e = blank
+        kept.append(e)
     return ProjectedCfg(
         entry=g.entry,
         vertices=g.vertices,
@@ -307,11 +315,13 @@ class Adjacency:
 
     `succ[v]` lists `(dst, i)` per outgoing edge of v in edge order, where i is
     the accessed block's position in the universe the map was built for, or -1
-    for a no-access edge.  `order` is the reverse post-order.
+    for a no-access edge.  `order` is the reverse post-order.  `accessing`
+    holds the vertices with at least one outgoing access edge.
     """
 
     succ: dict[str, tuple[tuple[str, int], ...]]
     order: tuple[str, ...]
+    accessing: frozenset[str]
 
 
 def adjacency(g: AnyCfg, blocks: Sequence[MemoryBlock]) -> Adjacency:
@@ -322,4 +332,5 @@ def adjacency(g: AnyCfg, blocks: Sequence[MemoryBlock]) -> Adjacency:
         v: tuple((e.dst, -1 if e.block is None else position[e.block]) for e in edges)
         for v, edges in adj.items()
     }
-    return Adjacency(succ=succ, order=tuple(reverse_post_order(g, adj)))
+    accessing = frozenset(e.src for e in g.edges if e.block is not None)
+    return Adjacency(succ=succ, order=tuple(reverse_post_order(g, adj)), accessing=accessing)

@@ -29,6 +29,7 @@ from .ai import (
 )
 from .cfg import (
     AccessId,
+    Adjacency,
     CacheConfig,
     Cfg,
     MemoryBlock,
@@ -53,7 +54,6 @@ from .focused import (
     focused_reach,
     initial_focused,
     live_facts,
-    refutation_exit,
     simplify_for,
     unsimplified_model,
 )
@@ -155,8 +155,15 @@ class PhaseStats:
 
 @dataclass
 class ClassifyResult:
+    """Verdicts in the program's access order, with the run's counters.
+
+    `sets` holds each cache set's projected graph and state space, in set
+    order, so the oracle can reuse them.
+    """
+
     verdicts: list[FinalVerdict]
     stats: PhaseStats
+    sets: list[tuple[ProjectedCfg, StateSpace]] = field(default_factory=list)
 
 
 def _final_flags(verdict: Verdict, reachable: bool) -> tuple[bool, bool]:
@@ -184,7 +191,9 @@ class SetAnalysis:
 
     `settled` holds the accesses the abstract domains decide; `residual` the
     rest, in access order, with the existential halves already known.  `may`
-    is the per-vertex may fixpoint, None in mc-only mode.
+    is the per-vertex may fixpoint, None in mc-only mode.  `adj` is the
+    graph's successor table over `space.blocks`, None when nothing is
+    accessed.
     """
 
     graph: ProjectedCfg
@@ -193,6 +202,7 @@ class SetAnalysis:
     settled: dict[AccessId, FinalVerdict]
     residual: list[AiClassification]
     may: Optional[Fixpoint]
+    adj: Optional[Adjacency]
 
     def residual_by_block(self) -> dict[MemoryBlock, list[AiClassification]]:
         """Residual accesses grouped by block, blocks in ascending order."""
@@ -203,12 +213,12 @@ class SetAnalysis:
 
     def model_factory(self, simplify: bool) -> Callable[[MemoryBlock], FocusedModel]:
         """Focused model per block; the per-set live facts are built once, here."""
-        pg, space, may = self.graph, self.space, self.may
+        pg, space, may, adj = self.graph, self.space, self.may, self.adj
         if simplify and may is not None:
             facts = live_facts(pg, may, space)
-            return lambda block: simplify_for(pg, block, may, space, facts)
+            return lambda block: simplify_for(pg, block, may, space, facts, adj)
         facts = all_live(pg)
-        return lambda block: unsimplified_model(pg, block, space.k, facts)
+        return lambda block: unsimplified_model(pg, block, space.k, facts, adj)
 
 
 def abstract_phase(pg: ProjectedCfg, k: int, init: InitMode, mode: Mode) -> SetAnalysis:
@@ -216,16 +226,17 @@ def abstract_phase(pg: ProjectedCfg, k: int, init: InitMode, mode: Mode) -> SetA
 
     ai+mc and ai-only run exists-hit and exists-miss only: their carried
     halves are the must and may fixpoints.  ai+mc-no-du runs must and may.
-    mc-only runs nothing and leaves every access residual.
+    mc-only runs nothing and leaves every access residual.  Every mode builds
+    the successor table the fixpoints and the focused search share.
     """
     accesses = accesses_of(pg)
     space = StateSpace(k=k, blocks=block_universe(pg))
     settled: dict[AccessId, FinalVerdict] = {}
+    adj = adjacency(pg, space.blocks) if accesses else None
     if mode is Mode.MC_ONLY or not accesses:
         residual = [AiClassification(a, None, False, False) for a in accesses]
-        return SetAnalysis(pg, space, accesses, settled, residual, None)
+        return SetAnalysis(pg, space, accesses, settled, residual, None, adj)
 
-    adj = adjacency(pg, space.blocks)
     if mode is Mode.AI_MC_NO_DU:
         must = fixpoint(MUST, pg, space, init, adj)
         may = fixpoint(MAY, pg, space, init, adj)
@@ -243,7 +254,7 @@ def abstract_phase(pg: ProjectedCfg, k: int, init: InitMode, mode: Mode) -> SetA
             )
         else:
             residual.append(c)
-    return SetAnalysis(pg, space, accesses, settled, residual, may)
+    return SetAnalysis(pg, space, accesses, settled, residual, may, adj)
 
 
 def _classify_set(
@@ -253,12 +264,12 @@ def _classify_set(
     mode: Mode,
     simplify: bool,
     mc_budget: int,
-) -> tuple[dict[AccessId, FinalVerdict], PhaseStats]:
+) -> tuple[dict[AccessId, FinalVerdict], PhaseStats, StateSpace]:
     stats = PhaseStats()
     t0 = time.perf_counter()
     analysis = abstract_phase(pg, k, init, mode)
     if not analysis.accesses:
-        return {}, stats
+        return {}, stats, analysis.space
     results = dict(analysis.settled)
     stats.t_ai_ms = (time.perf_counter() - t0) * 1000.0
 
@@ -272,11 +283,9 @@ def _classify_set(
         model_for = analysis.model_factory(simplify)
         for block, group in analysis.residual_by_block().items():
             model = model_for(block)
-            init_states = initial_focused(model.universe, block, k, init)
+            seeds = initial_focused(model.positions, k, init)
             goals = [(c.access.src, c.exists_hit, c.exists_miss) for c in group]
-            reach = focused_reach(
-                model, init_states, early_exit=refutation_exit(goals), budget=mc_budget
-            )
+            reach = focused_reach(model, seeds, goals, budget=mc_budget)
             stats.focused_runs += 1
             stats.states_explored += reach.explored
             log.debug(
@@ -306,7 +315,7 @@ def _classify_set(
 
     for fv in results.values():
         stats.count(fv)
-    return results, stats
+    return results, stats, analysis.space
 
 
 def classify_all(
@@ -325,15 +334,17 @@ def classify_all(
     """
     merged: dict[AccessId, FinalVerdict] = {}
     stats = PhaseStats()
+    sets: list[tuple[ProjectedCfg, StateSpace]] = []
     for s in range(config.num_sets):
         pg = project(g, s, config)
-        results, set_stats = _classify_set(
+        results, set_stats, space = _classify_set(
             pg, config.associativity, init, mode, simplify, mc_budget
         )
         merged.update(results)
         stats.absorb(set_stats)
+        sets.append((pg, space))
     ordered = [merged[a] for a in accesses_of(g)]
-    return ClassifyResult(verdicts=ordered, stats=stats)
+    return ClassifyResult(verdicts=ordered, stats=stats, sets=sets)
 
 
 @dataclass(frozen=True)
@@ -378,18 +389,17 @@ def verify_against_oracle(
     A settled verdict that differs from the oracle is a disagreement.  An
     unresolved access (ai-only mode) is a disagreement only when one of its
     flags contradicts the oracle: a known-possible hit against always-miss, or
-    a known-possible miss against always-hit.
+    a known-possible miss against always-hit.  The oracle reuses the
+    projections and state spaces of the classification.
     """
     result = classify_all(g, config, init, mode, simplify=simplify, mc_budget=mc_budget)
     by_access = {fv.access: fv for fv in result.verdicts}
 
     entries: list[OracleEntry] = []
-    for s in range(config.num_sets):
-        pg = project(g, s, config)
+    for s, (pg, space) in enumerate(result.sets):
         accesses = accesses_of(pg)
         if not accesses:
             continue
-        space = StateSpace(k=config.associativity, blocks=block_universe(pg))
         reach = collecting_semantics(pg, space, init, budget=oracle_budget)
         for a in accesses:
             truth = exact_classify(space, reach, a)

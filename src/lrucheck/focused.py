@@ -11,17 +11,32 @@ Explicit-state breadth-first search over (vertex, focused state) pairs then
 answers always-hit and always-miss questions about `a` precisely, on models
 that stay small because states are subsets of the few blocks that can still
 be cached at all (a may-analysis prunes the rest).
+
+`alpha_focus` and `update_focus` state the abstraction over frozensets of
+blocks; they are the reference the search is tested against.  The search
+itself encodes a state as an int.  A younger-set is a bitmask over the cache
+set's blocks: bit i stands for `StateSpace.blocks[i]`, the same positions the
+per-set successor table (`cfg.adjacency`) labels its access edges with.
+Epsilon is `EPSILON_MASK`, -1: OR-ing any bit into it leaves it -1, so the
+transfer needs no case for it.  An access to the focus gives 0; any other
+access ORs in the block's bit, and a mask of k or more bits becomes epsilon.
+
+The search order is fixed, because the number of pairs a search explores
+before its refutation goals are met is part of every report: seeds come in
+lexicographic order of their ascending position tuples (so every set before
+its extensions), epsilon last; the work list is FIFO; successors are visited
+in edge order.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .cfg import AccessId, Edge, MemoryBlock, ProjectedCfg, block_universe, out_edges
+from .cfg import AccessId, Adjacency, Edge, MemoryBlock, ProjectedCfg, adjacency, block_universe
 from .ai import Fixpoint
 from .concrete import ConcreteState, InitMode, StateSpace
 from .verdict import Verdict
@@ -53,6 +68,9 @@ EPSILON = _Epsilon()
 #: (A `|` union, not typing.Union; see cfg.AnyCfg.)
 FocusedState = _Epsilon | frozenset
 
+#: The search's encoding of EPSILON; every other state is a mask >= 0.
+EPSILON_MASK = -1
+
 
 def alpha_focus(space: StateSpace, q: ConcreteState, focus: MemoryBlock) -> FocusedState:
     """Project a concrete cache state onto the focused view for `focus`."""
@@ -79,31 +97,63 @@ def update_focus(s: FocusedState, block: MemoryBlock, focus: MemoryBlock, k: int
     return grown
 
 
-def initial_focused(
-    universe: Sequence[MemoryBlock], focus: MemoryBlock, k: int, init: InitMode
-) -> frozenset:
-    """Focused states the search starts from.
+@dataclass(frozen=True)
+class FocusedSeeds:
+    """The masks a search starts from, in search order, enumerated lazily.
 
-    An empty cache never holds the focus.  An unknown cache may hold it behind
-    any younger set of fewer than k other blocks, or not hold it at all.
+    An empty cache never holds the focus: the only seed is EPSILON_MASK.  An
+    unknown cache may hold it behind any younger set of fewer than k blocks at
+    `positions`, or not hold it at all.  `len` counts the seeds from binomials
+    without enumerating them, and iteration yields one mask at a time, so a
+    search budget stops the enumeration too.
     """
-    if init is InitMode.EMPTY:
-        return frozenset({EPSILON})
-    others = [b for b in universe if b != focus]
-    states: set = {EPSILON}
-    for size in range(min(k - 1, len(others)) + 1):
-        for combo in itertools.combinations(others, size):
-            states.add(frozenset(combo))
-    return frozenset(states)
+
+    positions: tuple[int, ...]
+    k: int
+    init: InitMode
+
+    def __len__(self) -> int:
+        if self.init is InitMode.EMPTY:
+            return 1
+        n = len(self.positions)
+        return sum(math.comb(n, c) for c in range(min(self.k - 1, n) + 1)) + 1
+
+    def __iter__(self) -> Iterator[int]:
+        if self.init is InitMode.UNKNOWN:
+            yield 0
+            if self.k > 1:
+                yield from _extensions(self.positions, 0, 0, self.k - 1)
+        yield EPSILON_MASK
+
+
+def _extensions(positions: tuple[int, ...], start: int, mask: int, room: int) -> Iterator[int]:
+    """Masks extending `mask` by up to `room` of `positions[start:]`, in pre-order."""
+    for j in range(start, len(positions)):
+        grown = mask | 1 << positions[j]
+        yield grown
+        if room > 1:
+            yield from _extensions(positions, j + 1, grown, room - 1)
+
+
+def initial_focused(positions: Sequence[int], k: int, init: InitMode) -> FocusedSeeds:
+    """Seed masks of a search over the younger-set universe at `positions`."""
+    return FocusedSeeds(tuple(positions), k, init)
 
 
 @dataclass(frozen=True)
 class FocusedModel:
-    """One block's model: the (possibly simplified) graph plus pruning facts.
+    """One block's model: the set's successor table plus pruning facts.
+
+    `succ[v]` lists `(dst, i)` per outgoing edge of v in `graph`'s edge order,
+    i the position in `blocks` of the accessed block or -1 for no access.  A
+    simplified model rewrites the rows of the sources where the focus is
+    provably uncached; every other row is the set's `cfg.adjacency` row.
+    `graph` is the projection the table was built from.
 
     `live_blocks[v]` is the set of blocks that can be cached at all when
     control is at v; states reaching v only ever mention those.  `universe` is
-    the union of the live sets minus the focus: the alphabet of younger sets.
+    the union of the live sets minus the focus: the alphabet of younger sets,
+    at positions `positions` of `blocks`.
     """
 
     graph: ProjectedCfg
@@ -112,6 +162,33 @@ class FocusedModel:
     live_blocks: dict[str, frozenset]
     universe: tuple[MemoryBlock, ...]
     simplified: bool
+    blocks: tuple[MemoryBlock, ...]
+    succ: dict[str, tuple[tuple[str, int], ...]]
+
+    @property
+    def focus_pos(self) -> int:
+        return self.blocks.index(self.focus)
+
+    @property
+    def positions(self) -> tuple[int, ...]:
+        universe = set(self.universe)
+        return tuple(i for i, b in enumerate(self.blocks) if b in universe)
+
+    def edges(self) -> list[Edge]:
+        """The model's edges in `graph`'s edge order.
+
+        No-access self-loops are dropped, like projection drops them; the
+        rows keep the ones relabeling creates, where the search passes over
+        them.
+        """
+        rows = {v: iter(row) for v, row in self.succ.items()}
+        out: list[Edge] = []
+        for e in self.graph.edges:
+            dst, i = next(rows[e.src])
+            if i < 0 and dst == e.src:
+                continue
+            out.append(Edge(e.src, None if i < 0 else self.blocks[i], dst))
+        return out
 
 
 @dataclass(frozen=True)
@@ -151,14 +228,21 @@ def live_facts(g: ProjectedCfg, may_fix: Fixpoint, space: StateSpace) -> LiveFac
 
 
 def unsimplified_model(
-    g: ProjectedCfg, focus: MemoryBlock, k: int, facts: Optional[LiveFacts] = None
+    g: ProjectedCfg,
+    focus: MemoryBlock,
+    k: int,
+    facts: Optional[LiveFacts] = None,
+    adj: Optional[Adjacency] = None,
 ) -> FocusedModel:
     """Focused model over the raw projection: every block live everywhere.
 
-    `facts`, when given, must be `all_live(g)`.
+    `facts`, when given, must be `all_live(g)`, and `adj` must be
+    `adjacency(g, block_universe(g))`.
     """
     if facts is None:
         facts = all_live(g)
+    if adj is None:
+        adj = adjacency(g, facts.blocks)
     return FocusedModel(
         graph=g,
         focus=focus,
@@ -166,6 +250,8 @@ def unsimplified_model(
         live_blocks=facts.live_blocks,
         universe=tuple(b for b in facts.blocks if b != focus),
         simplified=False,
+        blocks=facts.blocks,
+        succ=adj.succ,
     )
 
 
@@ -175,6 +261,7 @@ def simplify_for(
     may_fix: Fixpoint,
     space: StateSpace,
     facts: Optional[LiveFacts] = None,
+    adj: Optional[Adjacency] = None,
 ) -> FocusedModel:
     """Shrink a projection to what can matter for the focused block.
 
@@ -188,119 +275,161 @@ def simplify_for(
       no reachable cache state at that vertex holds it.
 
     Unreachable vertices (BOTTOM in the may fixpoint) get empty live sets and
-    their access edges relabeled; no state ever reaches them.  Relabeling can
-    create no-access self-loops, which are dropped like in projection.
+    their access edges relabeled; no state ever reaches them.
 
-    `facts`, when given, must be `live_facts(g, may_fix, space)`.  The
-    universe is the union of the live sets minus the focus; it covers every
-    block still accessed, since a kept access edge leaves a reachable source
-    and so makes its block live at the target.
+    `facts`, when given, must be `live_facts(g, may_fix, space)`, and `adj`
+    must be `adjacency(g, space.blocks)`.  The universe is the union of the
+    live sets minus the focus; it covers every block still accessed, since a
+    kept access edge leaves a reachable source and so makes its block live at
+    the target.
     """
     if facts is None:
         facts = live_facts(g, may_fix, space)
+    if adj is None:
+        adj = adjacency(g, space.blocks)
     k = space.k
     focus_i = space.index_of(focus)
 
-    edges: list[Edge] = []
-    for e in g.edges:
-        if e.block is not None and e.block != focus:
-            s = may_fix[e.src]
-            if s is None or s[focus_i] >= k:
-                e = Edge(e.src, None, e.dst)
-        if e.block is None and e.src == e.dst:
-            continue
-        edges.append(e)
-    graph = ProjectedCfg(
-        entry=g.entry,
-        vertices=g.vertices,
-        edges=tuple(edges),
-        set_index=g.set_index,
-        name=g.name,
-    )
+    succ = dict(adj.succ)
+    for v in adj.accessing:
+        s = may_fix[v]
+        if s is None or s[focus_i] >= k:
+            succ[v] = tuple([(w, i if i == focus_i else -1) for w, i in succ[v]])
     return FocusedModel(
-        graph=graph,
+        graph=g,
         focus=focus,
         k=k,
         live_blocks=facts.live_blocks,
         universe=tuple(b for b in facts.blocks if b != focus),
         simplified=True,
+        blocks=space.blocks,
+        succ=succ,
     )
 
 
 @dataclass
 class FocusedReach:
-    """Reachable focused states per vertex, plus how the search went."""
+    """Reachable focused states per vertex, plus how the search went.
+
+    `states[v]` holds masks (EPSILON_MASK or a younger-set over
+    `model.blocks`).
+    """
 
     focus: MemoryBlock
-    states: dict[str, frozenset]
+    states: dict[str, set[int]]
     explored: int
     partial: bool
     model: FocusedModel
 
 
-def _state_sort_key(s: FocusedState):
-    if s is EPSILON:
-        return (1, ())
-    return (0, tuple(sorted(b.index for b in s)))
+#: Pending-goal flags of a vertex: which state would refute a check there.
+_WANT_EPSILON = 1
+_WANT_CACHED = 2
+
+
+def _pending_goals(goals: Sequence[tuple[str, bool, bool]]) -> dict[str, int]:
+    """Per source vertex, the flags of the states that would refute its checks.
+
+    A pending always-hit check is refuted by an epsilon state at the source,
+    a pending always-miss check by a cached state.
+    """
+    pending: dict[str, int] = {}
+    for src, ex_hit, ex_miss in goals:
+        if ex_hit and ex_miss:
+            raise ValueError("access already definitely-unknown; no goal to refute")
+        if ex_hit:
+            want = _WANT_EPSILON
+        elif ex_miss:
+            want = _WANT_CACHED
+        else:
+            want = _WANT_EPSILON | _WANT_CACHED
+        pending[src] = pending.get(src, 0) | want
+    return pending
+
+
+def _over_budget(model: FocusedModel, budget: int) -> FocusedCapacityError:
+    return FocusedCapacityError(
+        f"focused search needs more than {budget} (vertex, state) pairs "
+        f"on {model.graph.name!r} block b{model.focus.index}"
+    )
 
 
 def focused_reach(
     model: FocusedModel,
-    init: frozenset,
-    early_exit: Optional[Callable[[str, FocusedState], bool]] = None,
+    init: Iterable[int],
+    goals: Optional[Sequence[tuple[str, bool, bool]]] = None,
     budget: int = DEFAULT_MC_BUDGET,
 ) -> FocusedReach:
     """Breadth-first reachability over (vertex, focused state) pairs.
 
-    `early_exit`, when given, sees every newly discovered pair; returning True
-    stops the search and marks the result partial.  Callers may then only rely
-    on state *presence*, not absence.  Raises FocusedCapacityError past
-    `budget` discovered pairs.
+    `init` holds the seed masks in search order (see `initial_focused`).
+    Each goal is (source vertex, exists_hit, exists_miss) for one access;
+    with goals given, the search stops as soon as every pending check is
+    refuted and marks the result partial.  Callers may then only rely on
+    state *presence*, not absence.  Checks that end up holding universally
+    never refute, so the search then runs to completion and stays usable for
+    universal conclusions.  Raises FocusedCapacityError past `budget`
+    discovered pairs.
     """
     g = model.graph
+    succ = model.succ
     k = model.k
-    focus = model.focus
-    adj = out_edges(g)
-    reach: dict[str, set] = {v: set() for v in g.vertices}
+    focus_pos = model.focus_pos
+    pending = {} if goals is None else _pending_goals(goals)
+    left = sum(want.bit_count() for want in pending.values())
+    reach: dict[str, set[int]] = {v: set() for v in g.vertices}
     work: deque = deque()
     explored = 0
-    partial = False
 
-    def discover(v: str, s: FocusedState) -> bool:
-        """Record a pair; returns True when the search should stop."""
-        nonlocal explored, partial
-        bucket = reach[v]
-        if s in bucket:
-            return False
-        bucket.add(s)
+    entry, at_entry = g.entry, reach[g.entry]
+    for s in init:
+        if s in at_entry:
+            continue
+        at_entry.add(s)
         explored += 1
         if explored > budget:
-            raise FocusedCapacityError(
-                f"focused search needs more than {budget} (vertex, state) pairs "
-                f"on {g.name!r} block b{focus.index}"
-            )
-        work.append((v, s))
-        if early_exit is not None and early_exit(v, s):
-            partial = True
-            return True
-        return False
+            raise _over_budget(model, budget)
+        work.append((entry, s))
+        if goals is not None:
+            want = pending.get(entry, 0)
+            hit = _WANT_EPSILON if s < 0 else _WANT_CACHED
+            if want & hit:
+                pending[entry] = want & ~hit
+                left -= 1
+            # Checked after every seed: an empty goal list stops at the first pair.
+            if not left:
+                return FocusedReach(model.focus, reach, explored, True, model)
 
-    for s in sorted(init, key=_state_sort_key):
-        if discover(g.entry, s):
-            break
-    while work and not partial:
-        v, s = work.popleft()
-        for e in adj[v]:
-            t = s if e.block is None else update_focus(s, e.block, focus, k)
-            if discover(e.dst, t):
-                break
-    return FocusedReach(
-        focus=focus,
-        states={v: frozenset(states) for v, states in reach.items()},
-        explored=explored,
-        partial=partial,
-        model=model,
-    )
+    popleft, push = work.popleft, work.append
+    while work:
+        v, s = popleft()
+        for w, i in succ[v]:
+            if i < 0:
+                t = s
+            elif i == focus_pos:
+                t = 0
+            else:
+                t = s | 1 << i
+                if t.bit_count() >= k:
+                    t = EPSILON_MASK
+            bucket = reach[w]
+            if t in bucket:
+                continue
+            bucket.add(t)
+            explored += 1
+            if explored > budget:
+                raise _over_budget(model, budget)
+            push((w, t))
+            if pending:
+                want = pending.get(w)
+                if want:
+                    hit = _WANT_EPSILON if t < 0 else _WANT_CACHED
+                    if want & hit:
+                        pending[w] = want & ~hit
+                        left -= 1
+                        if not left:
+                            return FocusedReach(model.focus, reach, explored, True, model)
+    return FocusedReach(model.focus, reach, explored, False, model)
 
 
 @dataclass(frozen=True)
@@ -309,7 +438,6 @@ class McVerdict:
 
     access: AccessId
     result: Verdict
-    early_exit: bool
 
 
 def check_access(
@@ -330,7 +458,7 @@ def check_access(
     if exists_hit and exists_miss:
         raise ValueError("access already definitely-unknown; model checking is redundant")
     src_states = reach.states[access.src]
-    saw_eps = EPSILON in src_states
+    saw_eps = EPSILON_MASK in src_states
     saw_cached = len(src_states) > (1 if saw_eps else 0)
 
     def complete() -> None:
@@ -342,51 +470,21 @@ def check_access(
 
     if exists_hit:
         if saw_eps:
-            return McVerdict(access, Verdict.DEFINITELY_UNKNOWN, reach.partial)
+            return McVerdict(access, Verdict.DEFINITELY_UNKNOWN)
         complete()
-        return McVerdict(access, Verdict.ALWAYS_HIT, reach.partial)
+        return McVerdict(access, Verdict.ALWAYS_HIT)
     if exists_miss:
         if saw_cached:
-            return McVerdict(access, Verdict.DEFINITELY_UNKNOWN, reach.partial)
+            return McVerdict(access, Verdict.DEFINITELY_UNKNOWN)
         complete()
-        return McVerdict(access, Verdict.ALWAYS_MISS, reach.partial)
+        return McVerdict(access, Verdict.ALWAYS_MISS)
     if not saw_eps:
         complete()
-        return McVerdict(access, Verdict.ALWAYS_HIT, reach.partial)
+        return McVerdict(access, Verdict.ALWAYS_HIT)
     if not saw_cached:
         complete()
-        return McVerdict(access, Verdict.ALWAYS_MISS, reach.partial)
-    return McVerdict(access, Verdict.DEFINITELY_UNKNOWN, reach.partial)
-
-
-def refutation_exit(
-    goals: Sequence[tuple[str, bool, bool]],
-) -> Callable[[str, FocusedState], bool]:
-    """Early-exit predicate that fires once every pending check is refuted.
-
-    Each goal is (source vertex, exists_hit, exists_miss) for one access.  A
-    pending always-hit check is refuted by an epsilon state at the source, a
-    pending always-miss check by a cached state.  Checks that end up holding
-    universally never refute, so the search then runs to completion and stays
-    usable for universal conclusions.
-    """
-    pending: set = set()
-    for src, ex_hit, ex_miss in goals:
-        if ex_hit and ex_miss:
-            raise ValueError("access already definitely-unknown; no goal to refute")
-        if ex_hit:
-            pending.add((src, "eps"))
-        elif ex_miss:
-            pending.add((src, "cached"))
-        else:
-            pending.add((src, "eps"))
-            pending.add((src, "cached"))
-
-    def should_stop(v: str, s: FocusedState) -> bool:
-        pending.discard((v, "eps" if s is EPSILON else "cached"))
-        return not pending
-
-    return should_stop
+        return McVerdict(access, Verdict.ALWAYS_MISS)
+    return McVerdict(access, Verdict.DEFINITELY_UNKNOWN)
 
 
 # --- SMV export -------------------------------------------------------------
@@ -451,9 +549,9 @@ def export_smv(model: FocusedModel, init: InitMode, targets: Sequence[AccessId])
             f"  loc = {loc[g.entry]} & (({uncached_init}) | (cached & ({size_sum()} <= {k - 1})))"
         )
 
-    adj = out_edges(g)
+    edges = model.edges()
     disjuncts: list[str] = []
-    for e in g.edges:
+    for e in edges:
         head = f"loc = {loc[e.src]} & next(loc) = {loc[e.dst]}"
         if e.block is None:
             body = "next(cached) = cached" + (f" & {frame()}" if bit_names else "")
@@ -472,8 +570,9 @@ def export_smv(model: FocusedModel, init: InitMode, targets: Sequence[AccessId])
             )
             body = f"(({miss_stay}) | ({evicted}) | ({grown}))"
         disjuncts.append(f"({head} & {body})")
+    sources = {e.src for e in edges}
     for v in g.vertices:
-        if not adj[v]:
+        if v not in sources:
             head = f"loc = {loc[v]} & next(loc) = {loc[v]}"
             body = "next(cached) = cached" + (f" & {frame()}" if bit_names else "")
             disjuncts.append(f"({head} & {body})")

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import deque
 
-from lrucheck.cfg import CacheConfig, Cfg, MemoryBlock, parse_cfg
+from lrucheck.cfg import CacheConfig, Cfg, Edge, MemoryBlock, parse_cfg
 from lrucheck.concrete import StateSpace
+from lrucheck.focused import EPSILON, EPSILON_MASK, update_focus
 
 
 def cfg_text(entry, vertices, edges, name=None):
@@ -155,3 +157,102 @@ def corpus_programs(count, base_seed=0, sets=1, block=8):
         g = generate(spec, config, name=f"gen{spec.seed}")
         out.append((g.name, config, g))
     return out
+
+
+# --- focused states: masks against the frozenset reference ---------------------
+
+
+def decode_mask(mask, blocks):
+    """The reference state a search mask stands for; bit i is blocks[i]."""
+    if mask == EPSILON_MASK:
+        return EPSILON
+    return frozenset(b for i, b in enumerate(blocks) if mask >> i & 1)
+
+
+def encode_state(state, blocks):
+    """The search mask of a reference state."""
+    if state is EPSILON:
+        return EPSILON_MASK
+    return sum(1 << blocks.index(b) for b in state)
+
+
+def decoded_states(reach):
+    """A search's reachable masks per vertex, as sets of reference states."""
+    blocks = reach.model.blocks
+    return {v: frozenset(decode_mask(m, blocks) for m in ms) for v, ms in reach.states.items()}
+
+
+def reference_seeds(universe, k, unknown):
+    """Reference seed states in search order: sorted block-index tuples, EPSILON last."""
+    states = []
+    if unknown:
+        for size in range(min(k - 1, len(universe)) + 1):
+            states.extend(frozenset(c) for c in itertools.combinations(universe, size))
+        states.sort(key=lambda s: tuple(sorted(b.index for b in s)))
+    return states + [EPSILON]
+
+
+def reference_simplified_edges(pg, focus, may, k, space):
+    """The may-based relabeling over the projection's edges, stated on its own.
+
+    An access to a block other than the focus becomes a no-access edge when
+    its source is unreachable or proves the focus uncached; no-access
+    self-loops are dropped.
+    """
+    fi = space.blocks.index(focus)
+    out = []
+    for e in pg.edges:
+        block = e.block
+        if block is not None and block != focus and (may[e.src] is None or may[e.src][fi] >= k):
+            block = None
+        if block is None and e.src == e.dst:
+            continue
+        out.append(Edge(e.src, block, e.dst))
+    return out
+
+
+def reference_reach(vertices, entry, edges, focus, k, seeds, goals=None):
+    """Breadth-first search over (vertex, frozenset state) pairs.
+
+    Seeds are discovered in the given order, the work list is FIFO and
+    successors follow edge order.  With goals, (src, exists_hit, exists_miss)
+    triples, the search stops once each pending check has met its refuting
+    state: epsilon for always-hit, a cached state for always-miss.  Returns
+    (states per vertex, explored, partial).
+    """
+    succ = {v: [] for v in vertices}
+    for e in edges:
+        succ[e.src].append(e)
+    pending = None
+    if goals is not None:
+        pending = set()
+        for src, ex_hit, ex_miss in goals:
+            if not ex_miss:
+                pending.add((src, True))
+            if not ex_hit:
+                pending.add((src, False))
+    reach = {v: set() for v in vertices}
+    work = deque()
+    explored = 0
+
+    def discover(v, s):
+        nonlocal explored
+        if s in reach[v]:
+            return False
+        reach[v].add(s)
+        explored += 1
+        work.append((v, s))
+        if pending is None:
+            return False
+        pending.discard((v, s is EPSILON))
+        return not pending
+
+    stopped = any(discover(entry, s) for s in seeds)
+    while work and not stopped:
+        v, s = work.popleft()
+        for e in succ[v]:
+            t = s if e.block is None else update_focus(s, e.block, focus, k)
+            if discover(e.dst, t):
+                stopped = True
+                break
+    return {v: frozenset(ss) for v, ss in reach.items()}, explored, stopped

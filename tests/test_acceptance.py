@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import cfg_text, loop_cfg, small_config, space_for, straightline_cfg
+from helpers import cfg_text, decoded_states, loop_cfg, small_config, space_for, straightline_cfg
 from lrucheck.ai import (
     EXISTS_HIT,
     EXISTS_MISS,
@@ -141,8 +141,9 @@ def test_check_2_straightline_focused_trace():
     by_index = {b.index: b for b in block_universe(pg)}
     focus = by_index[0]  # accessed third, then aged out by the last two accesses
     model = unsimplified_model(pg, focus, 2)
-    init = initial_focused(block_universe(pg), focus, 2, InitMode.EMPTY)
+    init = initial_focused(model.positions, 2, InitMode.EMPTY)
     reach = focused_reach(model, init)
+    states = decoded_states(reach)
     expected = {
         "v0": {EPSILON},
         "v1": {EPSILON},
@@ -152,9 +153,9 @@ def test_check_2_straightline_focused_trace():
         "v5": {EPSILON},
     }
     failures = [
-        f"{v}: {sorted(map(repr, reach.states[v]))}, want {sorted(map(repr, want))}"
+        f"{v}: {sorted(map(repr, states[v]))}, want {sorted(map(repr, want))}"
         for v, want in expected.items()
-        if reach.states[v] != frozenset(want)
+        if states[v] != frozenset(want)
     ]
     ok = _report(2, "straight-line focused state trace", not failures,
                  time.perf_counter() - t0, 1.0)

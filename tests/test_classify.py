@@ -207,6 +207,44 @@ def test_oracle_report_carries_its_classification(k2_config, loop2):
     assert report.classification.stats.states_explored == direct.stats.states_explored
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_verify_projects_each_set_once(monkeypatch, mode):
+    import lrucheck.classify
+    from lrucheck.cfg import CacheConfig, project
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(lrucheck.classify, "project", counting)
+    name, config, g = corpus_programs(4, base_seed=300, sets=None)[0]
+    config = CacheConfig(associativity=2, num_sets=4, block_size=8)
+    report = verify_against_oracle(g, config, InitMode.UNKNOWN, mode)
+    assert calls == [0, 1, 2, 3]
+    assert [pg.set_index for pg, _ in report.classification.sets] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("mode", [Mode.AI_MC, Mode.MC_ONLY])
+def test_focused_searches_share_the_set_successor_table(monkeypatch, mode):
+    import lrucheck.cfg
+
+    calls = []
+    real = lrucheck.cfg.out_edges
+
+    def counting(g):
+        calls.append(g.set_index)
+        return real(g)
+
+    monkeypatch.setattr(lrucheck.cfg, "out_edges", counting)
+    name, config, g = corpus_programs(3, base_seed=300, sets=None)[2]
+    result = classify_all(g, config, InitMode.UNKNOWN, mode)
+    assert result.stats.focused_runs > 0
+    # one successor table per set with accesses, none per focused search
+    assert calls == [pg.set_index for pg, _ in result.sets if accesses_of(pg)]
+
+
 @pytest.mark.parametrize("mode", [Mode.AI_MC, Mode.AI_ONLY])
 def test_oracle_agreement_on_corpus(mode):
     total = mc_resolved = 0

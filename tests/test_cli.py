@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -358,6 +360,52 @@ def test_budget_exit_codes(capsys, tmp_path):
     )
     assert code == 3
     assert "raise --budget-oracle" in err
+
+
+def test_focused_budget_bounds_unknown_seeds(capsys, tmp_path):
+    # One 6-way set over 40 blocks: an unknown cache gives each focused search
+    # Σ_{c<=5} C(39, c) + 1 = 667,929 seed states; the budget must stop their
+    # enumeration after the first thousand.
+    run_cli(capsys, "gen", "--seed", "3", "--gen-vertices", "120", "--gen-loops", "10",
+            "--gen-blocks", "40", "--sets", "1", "--outdir", str(tmp_path))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "analyze", str(tmp_path / "gen3.json"), "--init", "unknown", "--sets", "1",
+        "--assoc", "6", "--budget-mc", "1000", "--mode", "mc-only",
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert "more than 1000" in err
+
+
+#: `analyze` reports of three generated programs per mode and initial cache:
+#: sha256 and `stats` block, recorded before the focused search moved to
+#: int states.  Larger graphs than docs/examples pin `states_explored`.
+GENERATED = json.loads((GOLDEN / "generated.json").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def generated_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("generated")
+    seeds = GENERATED["seeds"]
+    code = main(["gen", "--seed", str(seeds[0]), "--count", str(len(seeds)),
+                 *GENERATED["gen"], "--outdir", str(out)])
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(GENERATED["reports"]))
+def test_generated_golden_reports(capsys, generated_dir, key):
+    capsys.readouterr()
+    program, mode, init = key.split(".", 2)
+    code, out, err = run_cli(
+        capsys, "analyze", str(generated_dir / f"{program}.json"), *GENERATED["analyze"],
+        "--mode", mode, "--init", init,
+    )
+    assert code == 0
+    want = GENERATED["reports"][key]
+    assert json.loads(out)["stats"] == want["stats"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["sha256"]
 
 
 def test_input_error_exit_codes(capsys, tmp_path):

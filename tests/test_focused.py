@@ -2,21 +2,39 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+import time
+
 import pytest
 
-from helpers import blocks_for, build_cfg, space_for
+from helpers import (
+    blocks_for,
+    build_cfg,
+    corpus_programs,
+    decode_mask,
+    decoded_states,
+    encode_state,
+    reference_reach,
+    reference_seeds,
+    reference_simplified_edges,
+    small_config,
+    space_for,
+)
 from lrucheck.ai import MAY, fixpoint
-from lrucheck.cfg import AccessId, MemoryBlock, accesses_of, block_universe, project
+from lrucheck.bench import GenSpec, generate
+from lrucheck.cfg import AccessId, CacheConfig, MemoryBlock, accesses_of, block_universe, project
+from lrucheck.classify import Mode, abstract_phase
 from lrucheck.concrete import InitMode, StateSpace
 from lrucheck.focused import (
     EPSILON,
+    EPSILON_MASK,
     FocusedCapacityError,
     FocusedReach,
     alpha_focus,
     check_access,
     focused_reach,
     initial_focused,
-    refutation_exit,
     simplify_for,
     unsimplified_model,
     update_focus,
@@ -64,6 +82,10 @@ def test_focus_abstraction_commutes_exhaustive():
                         assert lhs == rhs, (n, k, q, focus, b)
 
 
+def positions_without(space, focus):
+    return [i for i, b in enumerate(space.blocks) if b != focus]
+
+
 def test_initial_focused_matches_alpha_image():
     for n in range(1, 4):
         for k in range(1, 3):
@@ -78,15 +100,114 @@ def test_initial_focused_matches_alpha_image():
                             else space.all_states()
                         )
                     }
-                    got = initial_focused(space.blocks, focus, k, init)
-                    assert got == frozenset(image), (n, k, focus, init)
+                    got = initial_focused(positions_without(space, focus), k, init)
+                    decoded = [decode_mask(m, space.blocks) for m in got]
+                    assert len(decoded) == len(image)
+                    assert frozenset(decoded) == frozenset(image), (n, k, focus, init)
+
+
+def test_mask_transfer_matches_update_focus():
+    # One access edge a -> b per block; every other block is accessed on an
+    # unreachable self-loop so that it belongs to the universe.
+    for n in range(1, 6):
+        blocks = blocks_for(n)
+        for k in range(1, 5):
+            config = small_config(k=k)
+            for focus in blocks:
+                others = [b for b in blocks if b != focus]
+                states = [EPSILON] + [
+                    frozenset(c)
+                    for size in range(min(k - 1, len(others)) + 1)
+                    for c in itertools.combinations(others, size)
+                ]
+                for block in blocks:
+                    edges = [("a", "b", 8 * block.index)]
+                    edges += [("z", "z", 8 * b.index) for b in blocks if b != block]
+                    pg = project(build_cfg("a", ["a", "b", "z"], edges, config), 0, config)
+                    model = unsimplified_model(pg, focus, k)
+                    for state in states:
+                        reach = focused_reach(model, [encode_state(state, model.blocks)])
+                        want = update_focus(state, block, focus, k)
+                        assert reach.states["b"] == {encode_state(want, model.blocks)}, (
+                            n, k, focus, block, state,
+                        )
+
+
+def test_seeds_match_reference_order():
+    for n in range(0, 7):
+        blocks = blocks_for(n + 1)
+        universe = blocks[1:]
+        for k in range(1, 5):
+            for init in InitMode:
+                seeds = initial_focused(range(1, n + 1), k, init)
+                got = [decode_mask(m, blocks) for m in seeds]
+                assert got == reference_seeds(universe, k, init is InitMode.UNKNOWN), (n, k)
+                assert len(seeds) == len(got)
+
+
+def test_seeds_are_counted_without_enumeration():
+    t0 = time.perf_counter()
+    seeds = initial_focused(range(200), 8, InitMode.UNKNOWN)
+    assert len(seeds) == sum(math.comb(200, c) for c in range(8)) + 1
+    first = list(itertools.islice(seeds, 4))
+    assert first == [0, 1, 0b11, 0b111]
+    assert time.perf_counter() - t0 < 1.0
+
+
+def search_cases():
+    """Corpus programs of both set counts plus four 120-vertex loop programs."""
+    programs = corpus_programs(30, base_seed=300, sets=None)
+    config = CacheConfig(associativity=4, num_sets=2, block_size=8)
+    for seed in range(4):
+        spec = GenSpec(vertices=120, loops=12, depth=3, blocks=10, seed=seed)
+        programs.append((f"loops{seed}", config, generate(spec, config)))
+    return programs
+
+
+@pytest.mark.parametrize("init", list(InitMode))
+def test_mask_search_matches_reference_search(init):
+    for name, config, g in search_cases():
+        k = config.associativity
+        for s in range(config.num_sets):
+            pg = project(g, s, config)
+            analysis = abstract_phase(pg, k, init, Mode.AI_MC)
+            if not analysis.accesses:
+                continue
+            space = analysis.space
+            residual = analysis.residual_by_block()
+            for simplified in (False, True):
+                model_for = analysis.model_factory(simplified)
+                for focus in space.blocks:
+                    model = model_for(focus)
+                    if simplified:
+                        edges = reference_simplified_edges(pg, focus, analysis.may, k, space)
+                    else:
+                        edges = list(pg.edges)
+                    assert model.edges() == edges, (name, s, focus)
+                    seeds = initial_focused(model.positions, k, init)
+                    ref_seeds = reference_seeds(model.universe, k, init is InitMode.UNKNOWN)
+                    goal_sets = [None]
+                    if focus in residual:
+                        goal_sets.append(
+                            [(c.access.src, c.exists_hit, c.exists_miss) for c in residual[focus]]
+                        )
+                    for goals in goal_sets:
+                        reach = focused_reach(model, seeds, goals)
+                        states, explored, partial = reference_reach(
+                            pg.vertices, pg.entry, edges, focus, k, ref_seeds, goals
+                        )
+                        case = (name, s, focus, simplified, goals is not None)
+                        assert (reach.explored, reach.partial) == (explored, partial), case
+                        assert decoded_states(reach) == states, case
 
 
 def test_initial_focused_unknown_count():
     blocks = blocks_for(3)
-    got = initial_focused(blocks, blocks[0], 2, InitMode.UNKNOWN)
+    got = initial_focused([1, 2], 2, InitMode.UNKNOWN)
     # epsilon, the empty set, and each single other block
     assert len(got) == 4
+    assert list(got) == [0, 0b010, 0b100, EPSILON_MASK]
+    assert [decode_mask(m, blocks) for m in got][1] == frozenset({blocks[1]})
 
 
 def straight_model(k2_config, straight2, simplified):
@@ -103,8 +224,9 @@ def straight_model(k2_config, straight2, simplified):
 def test_straightline_reach_golden(k2_config, straight2, simplified):
     pg, model = straight_model(k2_config, straight2, simplified)
     b = {blk.index: blk for blk in block_universe(pg)}
-    reach = focused_reach(model, initial_focused(model.universe, model.focus, 2, InitMode.EMPTY))
+    reach = focused_reach(model, initial_focused(model.positions, 2, InitMode.EMPTY))
     assert not reach.partial
+    states = decoded_states(reach)
     expected = {
         "v0": {EPSILON},
         "v1": {EPSILON},
@@ -113,8 +235,8 @@ def test_straightline_reach_golden(k2_config, straight2, simplified):
         "v4": {frozenset({b[1]})},
         "v5": {EPSILON},
     }
-    for v, states in expected.items():
-        assert reach.states[v] == frozenset(states), v
+    for v, want in expected.items():
+        assert states[v] == frozenset(want), v
     assert reach.explored == 6
 
 
@@ -132,7 +254,7 @@ def test_straightline_simplification_shape(k2_config, straight2):
     }
     # the first two accesses happen while the focus is provably uncached
     relabeled = [
-        (e.src, e.dst) for e, raw in zip(model.graph.edges, pg.edges)
+        (e.src, e.dst) for e, raw in zip(model.edges(), pg.edges)
         if e.block is None and raw.block is not None
     ]
     assert relabeled == [("v0", "v1"), ("v1", "v2")]
@@ -150,7 +272,7 @@ def test_simplify_drops_new_noaccess_selfloops(k2_config):
     may = fixpoint(MAY, pg, space)
     focus = space.blocks[0]
     model = simplify_for(pg, focus, may, space)
-    pairs = [(e.src, e.dst, e.block) for e in model.graph.edges]
+    pairs = [(e.src, e.dst, e.block) for e in model.edges()]
     assert pairs == [("e", "x", focus), ("e", "u", None)]
 
 
@@ -165,7 +287,7 @@ def test_simplify_handles_unreachable_vertices(k2_config):
     may = fixpoint(MAY, pg, space)
     model = simplify_for(pg, space.blocks[0], may, space)
     assert model.live_blocks["dead"] == frozenset()
-    dead_edge = [e for e in model.graph.edges if e.src == "dead"][0]
+    dead_edge = [e for e in model.edges() if e.src == "dead"][0]
     assert dead_edge.block is None
 
 
@@ -177,31 +299,31 @@ def loop_model(k2_config, loop2):
 
 def test_loop_reach_mixes_hit_and_miss(k2_config, loop2):
     pg, model = loop_model(k2_config, loop2)
-    reach = focused_reach(model, initial_focused(model.universe, model.focus, 2, InitMode.EMPTY))
+    reach = focused_reach(model, initial_focused(model.positions, 2, InitMode.EMPTY))
     w = model.universe[0]
-    assert reach.states["b"] == frozenset({EPSILON, frozenset({w})})
-    assert reach.states["c"] == frozenset({frozenset()})
+    states = decoded_states(reach)
+    assert states["b"] == frozenset({EPSILON, frozenset({w})})
+    assert states["c"] == frozenset({frozenset()})
     assert sum(len(s) for s in reach.states.values()) == reach.explored
 
 
 def test_focused_budget_error(k2_config, loop2):
     pg, model = loop_model(k2_config, loop2)
-    init = initial_focused(model.universe, model.focus, 2, InitMode.EMPTY)
+    init = initial_focused(model.positions, 2, InitMode.EMPTY)
     with pytest.raises(FocusedCapacityError, match="more than 2"):
         focused_reach(model, init, budget=2)
 
 
 def test_early_exit_stops_when_goals_refuted(k2_config, loop2):
     pg, model = loop_model(k2_config, loop2)
-    init = initial_focused(model.universe, model.focus, 2, InitMode.EMPTY)
+    init = initial_focused(model.positions, 2, InitMode.EMPTY)
     full = focused_reach(model, init)
-    stopper = refutation_exit([("b", False, False)])
-    reach = focused_reach(model, init, early_exit=stopper)
+    reach = focused_reach(model, init, goals=[("b", False, False)])
     assert reach.partial
     assert reach.explored <= full.explored
     # both behaviors were witnessed at b before stopping
-    assert EPSILON in reach.states["b"]
-    assert any(s is not EPSILON for s in reach.states["b"])
+    assert EPSILON_MASK in reach.states["b"]
+    assert any(s != EPSILON_MASK for s in reach.states["b"])
 
 
 def test_early_exit_never_fires_when_goal_holds(k2_config):
@@ -209,23 +331,22 @@ def test_early_exit_never_fires_when_goal_holds(k2_config):
     pg = project(g, 0, k2_config)
     focus = block_universe(pg)[0]
     model = unsimplified_model(pg, focus, 2)
-    init = initial_focused(model.universe, focus, 2, InitMode.EMPTY)
+    init = initial_focused(model.positions, 2, InitMode.EMPTY)
     # the second access always hits: no epsilon ever shows up at b
-    stopper = refutation_exit([("b", True, False)])
-    reach = focused_reach(model, init, early_exit=stopper)
+    reach = focused_reach(model, init, goals=[("b", True, False)])
     assert not reach.partial
     verdict = check_access(reach, accesses_of(pg)[1], exists_hit=True)
     assert verdict.result is Verdict.ALWAYS_HIT
-    assert not verdict.early_exit
 
 
 def tiny_reach(k2_config, src_states, partial=False):
     g = build_cfg("s", ["s", "t"], [("s", "t", 0)], k2_config)
     pg = project(g, 0, k2_config)
     model = unsimplified_model(pg, block_universe(pg)[0], 2)
+    blocks = (*model.blocks, MemoryBlock(1, 0))
     return FocusedReach(
         focus=model.focus,
-        states={"s": frozenset(src_states), "t": frozenset()},
+        states={"s": {encode_state(s, blocks) for s in src_states}, "t": set()},
         explored=len(src_states),
         partial=partial,
         model=model,
@@ -270,15 +391,31 @@ def test_check_access_rejects_redundant_and_partial_universal(k2_config):
         check_access(tiny_reach(k2_config, [EPSILON], partial=True), access)
 
 
-def test_refutation_exit_predicate():
-    fire = refutation_exit([("v", False, False)])
-    assert not fire("v", EPSILON)  # always-hit refuted, always-miss pending
-    assert not fire("w", frozenset())  # wrong vertex
-    assert fire("v", frozenset())  # always-miss refuted too
+def goal_search(k2_config, edges, goals):
+    """Search from an empty cache with block 0 (address 0) as the focus."""
+    vertices = sorted({v for e in edges for v in e[:2]} | {"e"})
+    pg = project(build_cfg("e", vertices, edges, k2_config), 0, k2_config)
+    model = unsimplified_model(pg, MemoryBlock(0, 0), 2)
+    return focused_reach(model, initial_focused(model.positions, 2, InitMode.EMPTY), goals)
 
-    hit_only = refutation_exit([("v", True, False)])
-    assert not hit_only("v", frozenset())  # cached states cannot refute a hit goal
-    assert hit_only("v", EPSILON)
+
+def test_refutation_goals_stop_the_search(k2_config):
+    # Discovery order: (v, eps), (w, {}), (v, {}), then (x, {}) if not stopped.
+    edges = [("e", "v", None), ("e", "w", 0), ("w", "v", None), ("w", "x", None)]
+    reach = goal_search(k2_config, edges, [("v", False, False)])
+    # always-hit refuted by (v, eps), a cached state at w is the wrong vertex,
+    # and (v, {}) refutes always-miss too: the search stops there
+    assert reach.partial
+    assert reach.states["v"] == {EPSILON_MASK, 0}
+    assert reach.states["x"] == set()
+
+    # Discovery order: (v, {}), (u, eps), (v, eps), then (y, eps) if not stopped.
+    edges = [("e", "v", 0), ("e", "u", None), ("u", "v", None), ("u", "y", None)]
+    reach = goal_search(k2_config, edges, [("v", True, False)])
+    # a cached state cannot refute a hit goal; (v, eps) does
+    assert reach.partial
+    assert reach.states["v"] == {0, EPSILON_MASK}
+    assert reach.states["y"] == set()
 
     with pytest.raises(ValueError, match="definitely-unknown"):
-        refutation_exit([("v", True, True)])
+        goal_search(k2_config, edges, [("v", True, True)])

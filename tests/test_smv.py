@@ -6,7 +6,7 @@ from collections import defaultdict
 
 import pytest
 
-from helpers import build_cfg, corpus_programs, small_config
+from helpers import build_cfg, corpus_programs, decode_mask, decoded_states, small_config
 from smv_eval import all_assignments, analyze, eval_expr, parse_module
 from test_ai import exists_miss_only_cfg
 from lrucheck.ai import MAY, fixpoint
@@ -38,8 +38,9 @@ def build_model(g, config, focus_index, simplified, init):
 def assert_model_matches_search(g, config, focus_index, simplified, init):
     pg, model = build_model(g, config, focus_index, simplified, init)
     k = config.associativity
-    init_states = initial_focused(model.universe, model.focus, k, init)
+    init_states = initial_focused(model.positions, k, init)
     reach = focused_reach(model, init_states)
+    states_at = decoded_states(reach)
     targets = [a for a in accesses_of(pg) if a.block == model.focus]
     text = export_smv(model, init, targets)
     module, reached, truths = analyze(text)
@@ -54,7 +55,7 @@ def assert_model_matches_search(g, config, focus_index, simplified, init):
         smv_by_vertex[vertex_of[env["loc"]]].add(key)
     for v in model.graph.vertices:
         encoded = set()
-        for s in reach.states[v]:
+        for s in states_at[v]:
             if s is EPSILON:
                 encoded.add((False, frozenset()))
             else:
@@ -63,7 +64,7 @@ def assert_model_matches_search(g, config, focus_index, simplified, init):
 
     assert len(truths) == 2 * len(targets)
     for i, a in enumerate(targets):
-        states = reach.states[a.src]
+        states = states_at[a.src]
         always_hit = EPSILON not in states
         always_miss = not any(s is not EPSILON for s in states)
         assert truths[2 * i] == always_hit, a.label
@@ -159,7 +160,8 @@ def test_unknown_init_predicate_matches_initial_states(k2_config):
     }
     entry_sym = module.locations[0]
     expected = set()
-    for s in initial_focused(model.universe, model.focus, 2, InitMode.UNKNOWN):
+    for m in initial_focused(model.positions, 2, InitMode.UNKNOWN):
+        s = decode_mask(m, model.blocks)
         if s is EPSILON:
             expected.add((entry_sym, False, frozenset()))
         else:
