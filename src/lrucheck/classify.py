@@ -14,7 +14,8 @@ import logging
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Optional
 
 from .ai import (
     EXISTS_HIT,
@@ -49,11 +50,10 @@ from .concrete import (
 from .focused import (
     DEFAULT_MC_BUDGET,
     FocusedModel,
-    all_live,
     check_access,
     focused_reach,
     initial_focused,
-    live_facts,
+    may_live_blocks,
     simplify_for,
     unsimplified_model,
 )
@@ -211,14 +211,16 @@ class SetAnalysis:
             by_block.setdefault(c.access.block, []).append(c)
         return {b: by_block[b] for b in sorted(by_block)}
 
-    def model_factory(self, simplify: bool) -> Callable[[MemoryBlock], FocusedModel]:
-        """Focused model per block; the per-set live facts are built once, here."""
-        pg, space, may, adj = self.graph, self.space, self.may, self.adj
-        if simplify and may is not None:
-            facts = live_facts(pg, may, space)
-            return lambda block: simplify_for(pg, block, may, space, facts, adj)
-        facts = all_live(pg)
-        return lambda block: unsimplified_model(pg, block, space.k, facts, adj)
+    @cached_property
+    def may_live(self) -> tuple[MemoryBlock, ...]:
+        """The set's may-live blocks, computed on the first simplified model."""
+        return may_live_blocks(self.may, self.space)
+
+    def model(self, block: MemoryBlock, simplify: bool) -> FocusedModel:
+        """The focused model of `block`; simplified only when a may fixpoint exists."""
+        if simplify and self.may is not None:
+            return simplify_for(self.graph, block, self.may, self.space, self.adj, self.may_live)
+        return unsimplified_model(self.graph, block, self.space, self.adj)
 
 
 def abstract_phase(pg: ProjectedCfg, k: int, init: InitMode, mode: Mode) -> SetAnalysis:
@@ -280,9 +282,8 @@ def _classify_set(
                 c.access, pg.set_index, None, Provenance.UNRESOLVED, c.exists_hit, c.exists_miss
             )
     elif analysis.residual:
-        model_for = analysis.model_factory(simplify)
         for block, group in analysis.residual_by_block().items():
-            model = model_for(block)
+            model = analysis.model(block, simplify)
             seeds = initial_focused(model.positions, k, init)
             goals = [(c.access.src, c.exists_hit, c.exists_miss) for c in group]
             reach = focused_reach(model, seeds, goals, budget=mc_budget)
@@ -294,22 +295,22 @@ def _classify_set(
                 " (early exit)" if reach.partial else "",
             )
             for c in group:
-                mv = check_access(reach, c.access, c.exists_hit, c.exists_miss)
+                verdict = check_access(reach, c.access, c.exists_hit, c.exists_miss)
                 stats.mc_access_checks += 1
                 if c.exists_hit:
                     prov = Provenance.MC_CHECK_AH
                 elif c.exists_miss:
                     prov = Provenance.MC_CHECK_AM
-                elif mv.result is Verdict.ALWAYS_HIT:
+                elif verdict is Verdict.ALWAYS_HIT:
                     prov = Provenance.MC_CHECK_AH
-                elif mv.result is Verdict.ALWAYS_MISS:
+                elif verdict is Verdict.ALWAYS_MISS:
                     prov = Provenance.MC_CHECK_AM
                 else:
                     prov = Provenance.MC_REFUTED_BOTH
                 reachable = bool(reach.states[c.access.src])
-                eh_flag, em_flag = _final_flags(mv.result, reachable)
+                eh_flag, em_flag = _final_flags(verdict, reachable)
                 results[c.access] = FinalVerdict(
-                    c.access, pg.set_index, mv.result, prov, eh_flag, em_flag
+                    c.access, pg.set_index, verdict, prov, eh_flag, em_flag
                 )
     stats.t_mc_ms = (time.perf_counter() - t1) * 1000.0
 
@@ -390,40 +391,40 @@ def verify_against_oracle(
     unresolved access (ai-only mode) is a disagreement only when one of its
     flags contradicts the oracle: a known-possible hit against always-miss, or
     a known-possible miss against always-hit.  The oracle reuses the
-    projections and state spaces of the classification.
+    projections and state spaces of the classification, one set at a time;
+    entries follow the classification's access order.
     """
     result = classify_all(g, config, init, mode, simplify=simplify, mc_budget=mc_budget)
-    by_access = {fv.access: fv for fv in result.verdicts}
+    by_set: list[list[AccessId]] = [[] for _ in result.sets]
+    for fv in result.verdicts:
+        by_set[fv.set_index].append(fv.access)
+    truths: dict[AccessId, Verdict] = {}
+    for (pg, space), accesses in zip(result.sets, by_set):
+        if accesses:
+            reach = collecting_semantics(pg, space, init, budget=oracle_budget)
+            truths.update((a, exact_classify(space, reach, a)) for a in accesses)
 
     entries: list[OracleEntry] = []
-    for s, (pg, space) in enumerate(result.sets):
-        accesses = accesses_of(pg)
-        if not accesses:
-            continue
-        reach = collecting_semantics(pg, space, init, budget=oracle_budget)
-        for a in accesses:
-            truth = exact_classify(space, reach, a)
-            fv = by_access[a]
-            if fv.verdict is not None:
-                agree = fv.verdict == truth
-            else:
-                agree = not (
-                    (fv.exists_hit and truth is Verdict.ALWAYS_MISS)
-                    or (fv.exists_miss and truth is Verdict.ALWAYS_HIT)
-                )
-            entries.append(
-                OracleEntry(
-                    access=a,
-                    set_index=s,
-                    pipeline=fv.verdict,
-                    oracle=truth,
-                    provenance=fv.provenance,
-                    agree=agree,
-                    mc_resolved=fv.provenance in MC_PROVENANCES,
-                )
+    for fv in result.verdicts:
+        truth = truths[fv.access]
+        if fv.verdict is not None:
+            agree = fv.verdict == truth
+        else:
+            agree = not (
+                (fv.exists_hit and truth is Verdict.ALWAYS_MISS)
+                or (fv.exists_miss and truth is Verdict.ALWAYS_HIT)
             )
-    order = {a: i for i, a in enumerate(accesses_of(g))}
-    entries.sort(key=lambda e: order[e.access])
+        entries.append(
+            OracleEntry(
+                access=fv.access,
+                set_index=fv.set_index,
+                pipeline=fv.verdict,
+                oracle=truth,
+                provenance=fv.provenance,
+                agree=agree,
+                mc_resolved=fv.provenance in MC_PROVENANCES,
+            )
+        )
     return OracleReport(
         entries=entries,
         n_checked=len(entries),

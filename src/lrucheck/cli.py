@@ -174,12 +174,15 @@ def _coerce_config_values(sub: argparse.ArgumentParser, overrides: dict) -> dict
 
 
 def _cache_config(args: argparse.Namespace) -> CacheConfig:
+    return _checked(
+        CacheConfig, associativity=args.assoc, num_sets=args.sets, block_size=args.block_size
+    )
+
+
+def _checked(cls, **values):
+    """Construct `cls`, turning its range check's ValueError into a usage error."""
     try:
-        return CacheConfig(
-            associativity=args.assoc,
-            num_sets=args.sets,
-            block_size=args.block_size,
-        )
+        return cls(**values)
     except ValueError as exc:
         raise CfgParseError(str(exc)) from exc
 
@@ -271,9 +274,9 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
                 for block, group in analysis.residual_by_block().items()
             }
 
-        model_for = analysis.model_factory(simplify=not args.no_simplify)
         for block, targets in targets_by_block.items():
-            text = export_smv(model_for(block), init, targets)
+            model = analysis.model(block, simplify=not args.no_simplify)
+            text = export_smv(model, init, targets)
             path = os.path.join(args.outdir, smv_filename(g.name, s, block))
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -290,14 +293,16 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    os.makedirs(args.outdir, exist_ok=True)
-    config = CacheConfig(
+    config = _checked(
+        CacheConfig,
         associativity=DEFAULT_CONFIG.associativity,
         num_sets=args.sets,
         block_size=args.block_size,
     )
+    os.makedirs(args.outdir, exist_ok=True)
     for seed in range(args.seed, args.seed + args.count):
-        spec = GenSpec(
+        spec = _checked(
+            GenSpec,
             vertices=args.gen_vertices,
             loops=args.gen_loops,
             depth=args.gen_depth,

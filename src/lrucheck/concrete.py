@@ -223,10 +223,3 @@ def exact_classify(
         return Verdict.ALWAYS_MISS
     return Verdict.DEFINITELY_UNKNOWN
 
-
-def space_for(g: ProjectedCfg, config_associativity: int) -> StateSpace:
-    """State space over the blocks a projected graph actually accesses."""
-    from .cfg import block_universe
-
-    return StateSpace(k=config_associativity, blocks=block_universe(g))
-

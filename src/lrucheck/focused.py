@@ -12,6 +12,13 @@ answers always-hit and always-miss questions about `a` precisely, on models
 that stay small because states are subsets of the few blocks that can still
 be cached at all (a may-analysis prunes the rest).
 
+A model (`FocusedModel`) is the cache set's successor table plus one focus.
+`unsimplified_model` takes the table as it is; `simplify_for` rewrites the
+rows where the may bounds prove the focus uncached and limits the younger-set
+alphabet to the set's may-live blocks (`may_live_blocks`, computed once per
+set).  Neither builds the table or the state space: callers pass the ones the
+abstract phase already built.
+
 `alpha_focus` and `update_focus` state the abstraction over frozensets of
 blocks; they are the reference the search is tested against.  The search
 itself encodes a state as an int.  A younger-set is a bitmask over the cache
@@ -36,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .cfg import AccessId, Adjacency, Edge, MemoryBlock, ProjectedCfg, adjacency, block_universe
+from .cfg import AccessId, Adjacency, Edge, MemoryBlock, ProjectedCfg
 from .ai import Fixpoint
 from .concrete import ConcreteState, InitMode, StateSpace
 from .verdict import Verdict
@@ -142,7 +149,7 @@ def initial_focused(positions: Sequence[int], k: int, init: InitMode) -> Focused
 
 @dataclass(frozen=True)
 class FocusedModel:
-    """One block's model: the set's successor table plus pruning facts.
+    """One block's model: the set's successor table, rewritten for the focus.
 
     `succ[v]` lists `(dst, i)` per outgoing edge of v in `graph`'s edge order,
     i the position in `blocks` of the accessed block or -1 for no access.  A
@@ -150,19 +157,15 @@ class FocusedModel:
     provably uncached; every other row is the set's `cfg.adjacency` row.
     `graph` is the projection the table was built from.
 
-    `live_blocks[v]` is the set of blocks that can be cached at all when
-    control is at v; states reaching v only ever mention those.  `universe` is
-    the union of the live sets minus the focus: the alphabet of younger sets,
-    at positions `positions` of `blocks`.
+    `universe` is the alphabet of younger sets: the blocks that can be cached
+    anywhere, minus the focus, at positions `positions` of `blocks`.
     """
 
     graph: ProjectedCfg
     focus: MemoryBlock
     k: int
-    live_blocks: dict[str, frozenset]
-    universe: tuple[MemoryBlock, ...]
-    simplified: bool
     blocks: tuple[MemoryBlock, ...]
+    universe: tuple[MemoryBlock, ...]
     succ: dict[str, tuple[tuple[str, int], ...]]
 
     @property
@@ -191,66 +194,35 @@ class FocusedModel:
         return out
 
 
-@dataclass(frozen=True)
-class LiveFacts:
-    """Which blocks can be cached where, for one projected graph.
+def may_live_blocks(may_fix: Fixpoint, space: StateSpace) -> tuple[MemoryBlock, ...]:
+    """The blocks whose may bound is below k at some vertex, in `space.blocks` order.
 
-    These facts do not depend on the focused block, so the models of every
-    block of one graph share them.  `live_blocks[v]` holds the blocks that can
-    be cached when control is at v; `blocks` is their union, sorted.
-    """
-
-    live_blocks: dict[str, frozenset]
-    blocks: tuple[MemoryBlock, ...]
-
-
-def all_live(g: ProjectedCfg) -> LiveFacts:
-    """Facts without pruning: every accessed block live at every vertex."""
-    blocks = block_universe(g)
-    return LiveFacts(dict.fromkeys(g.vertices, frozenset(blocks)), blocks)
-
-
-def live_facts(g: ProjectedCfg, may_fix: Fixpoint, space: StateSpace) -> LiveFacts:
-    """Facts from the may bounds: a block is live at v unless its bound there is k.
-
-    Unreachable vertices (BOTTOM in the may fixpoint) get empty live sets.
+    No reachable cache state holds any other block.  These facts do not
+    depend on the focused block, so one call serves every model of a set.
+    Unreachable vertices (BOTTOM in the may fixpoint) contribute nothing.
     """
     k = space.k
-    by_bounds: dict = {None: frozenset()}
-    live: dict[str, frozenset] = {}
-    for v in g.vertices:
-        s = may_fix[v]
-        fs = by_bounds.get(s)
-        if fs is None:
-            fs = by_bounds[s] = frozenset(b for b, x in zip(space.blocks, s) if x < k)
-        live[v] = fs
-    return LiveFacts(live, tuple(sorted(set().union(*by_bounds.values()))))
+    live: set[int] = set()
+    for s in set(may_fix.values()):
+        if s is not None:
+            live.update(i for i, x in enumerate(s) if x < k)
+    return tuple(space.blocks[i] for i in sorted(live))
 
 
 def unsimplified_model(
-    g: ProjectedCfg,
-    focus: MemoryBlock,
-    k: int,
-    facts: Optional[LiveFacts] = None,
-    adj: Optional[Adjacency] = None,
+    g: ProjectedCfg, focus: MemoryBlock, space: StateSpace, adj: Adjacency
 ) -> FocusedModel:
-    """Focused model over the raw projection: every block live everywhere.
+    """Focused model over the raw projection: every block can be cached anywhere.
 
-    `facts`, when given, must be `all_live(g)`, and `adj` must be
-    `adjacency(g, block_universe(g))`.
+    `space.blocks` must be `block_universe(g)` and `adj` must be
+    `adjacency(g, space.blocks)`.
     """
-    if facts is None:
-        facts = all_live(g)
-    if adj is None:
-        adj = adjacency(g, facts.blocks)
     return FocusedModel(
         graph=g,
         focus=focus,
-        k=k,
-        live_blocks=facts.live_blocks,
-        universe=tuple(b for b in facts.blocks if b != focus),
-        simplified=False,
-        blocks=facts.blocks,
+        k=space.k,
+        blocks=space.blocks,
+        universe=tuple(b for b in space.blocks if b != focus),
         succ=adj.succ,
     )
 
@@ -260,8 +232,8 @@ def simplify_for(
     focus: MemoryBlock,
     may_fix: Fixpoint,
     space: StateSpace,
-    facts: Optional[LiveFacts] = None,
-    adj: Optional[Adjacency] = None,
+    adj: Adjacency,
+    live: Sequence[MemoryBlock],
 ) -> FocusedModel:
     """Shrink a projection to what can matter for the focused block.
 
@@ -271,22 +243,17 @@ def simplify_for(
       relabeled to a no-access edge, unless it accesses the focus itself; from
       such a source the focused state is necessarily epsilon, which any other
       access preserves, exactly like a no-access edge;
-    * per-vertex live sets drop every block whose may bound is k there, since
-      no reachable cache state at that vertex holds it.
+    * the universe drops every block whose may bound is k at every vertex,
+      since no reachable cache state holds it.
 
-    Unreachable vertices (BOTTOM in the may fixpoint) get empty live sets and
-    their access edges relabeled; no state ever reaches them.
+    The access edges of unreachable vertices (BOTTOM in the may fixpoint) are
+    relabeled too; no state ever reaches them.
 
-    `facts`, when given, must be `live_facts(g, may_fix, space)`, and `adj`
-    must be `adjacency(g, space.blocks)`.  The universe is the union of the
-    live sets minus the focus; it covers every block still accessed, since a
-    kept access edge leaves a reachable source and so makes its block live at
-    the target.
+    `adj` must be `adjacency(g, space.blocks)` and `live` must be
+    `may_live_blocks(may_fix, space)`.  The universe is `live` minus the
+    focus; it covers every block still accessed, since a kept access edge
+    leaves a reachable source and so makes its block live at the target.
     """
-    if facts is None:
-        facts = live_facts(g, may_fix, space)
-    if adj is None:
-        adj = adjacency(g, space.blocks)
     k = space.k
     focus_i = space.index_of(focus)
 
@@ -299,10 +266,8 @@ def simplify_for(
         graph=g,
         focus=focus,
         k=k,
-        live_blocks=facts.live_blocks,
-        universe=tuple(b for b in facts.blocks if b != focus),
-        simplified=True,
         blocks=space.blocks,
+        universe=tuple(b for b in live if b != focus),
         succ=succ,
     )
 
@@ -315,7 +280,6 @@ class FocusedReach:
     `model.blocks`).
     """
 
-    focus: MemoryBlock
     states: dict[str, set[int]]
     explored: int
     partial: bool
@@ -398,7 +362,7 @@ def focused_reach(
                 left -= 1
             # Checked after every seed: an empty goal list stops at the first pair.
             if not left:
-                return FocusedReach(model.focus, reach, explored, True, model)
+                return FocusedReach(reach, explored, True, model)
 
     popleft, push = work.popleft, work.append
     while work:
@@ -428,16 +392,8 @@ def focused_reach(
                         pending[w] = want & ~hit
                         left -= 1
                         if not left:
-                            return FocusedReach(model.focus, reach, explored, True, model)
-    return FocusedReach(model.focus, reach, explored, False, model)
-
-
-@dataclass(frozen=True)
-class McVerdict:
-    """Result of model checking one access."""
-
-    access: AccessId
-    result: Verdict
+                            return FocusedReach(reach, explored, True, model)
+    return FocusedReach(reach, explored, False, model)
 
 
 def check_access(
@@ -445,7 +401,7 @@ def check_access(
     access: AccessId,
     exists_hit: bool = False,
     exists_miss: bool = False,
-) -> McVerdict:
+) -> Verdict:
     """Decide one access from a focused reachability result.
 
     The flags say which behavior is already known to occur, so at most one
@@ -470,21 +426,21 @@ def check_access(
 
     if exists_hit:
         if saw_eps:
-            return McVerdict(access, Verdict.DEFINITELY_UNKNOWN)
+            return Verdict.DEFINITELY_UNKNOWN
         complete()
-        return McVerdict(access, Verdict.ALWAYS_HIT)
+        return Verdict.ALWAYS_HIT
     if exists_miss:
         if saw_cached:
-            return McVerdict(access, Verdict.DEFINITELY_UNKNOWN)
+            return Verdict.DEFINITELY_UNKNOWN
         complete()
-        return McVerdict(access, Verdict.ALWAYS_MISS)
+        return Verdict.ALWAYS_MISS
     if not saw_eps:
         complete()
-        return McVerdict(access, Verdict.ALWAYS_HIT)
+        return Verdict.ALWAYS_HIT
     if not saw_cached:
         complete()
-        return McVerdict(access, Verdict.ALWAYS_MISS)
-    return McVerdict(access, Verdict.DEFINITELY_UNKNOWN)
+        return Verdict.ALWAYS_MISS
+    return Verdict.DEFINITELY_UNKNOWN
 
 
 # --- SMV export -------------------------------------------------------------

@@ -12,7 +12,7 @@ import json
 from typing import Optional
 
 from . import __version__
-from .cfg import CacheConfig, Cfg, accesses_of
+from .cfg import CacheConfig, Cfg
 from .classify import ClassifyResult, Mode, OracleReport
 from .concrete import InitMode
 
@@ -67,7 +67,7 @@ def build_report(
             "name": g.name,
             "vertices": len(g.vertices),
             "edges": len(g.edges),
-            "accesses": len(accesses_of(g)),
+            "accesses": len(result.verdicts),
         },
         "config": {
             "associativity": config.associativity,

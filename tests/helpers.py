@@ -12,9 +12,16 @@ import itertools
 import json
 from collections import deque
 
-from lrucheck.cfg import CacheConfig, Cfg, Edge, MemoryBlock, parse_cfg
+from lrucheck.cfg import CacheConfig, Cfg, Edge, MemoryBlock, adjacency, block_universe, parse_cfg
 from lrucheck.concrete import StateSpace
-from lrucheck.focused import EPSILON, EPSILON_MASK, update_focus
+from lrucheck.focused import (
+    EPSILON,
+    EPSILON_MASK,
+    may_live_blocks,
+    simplify_for,
+    unsimplified_model,
+    update_focus,
+)
 
 
 def cfg_text(entry, vertices, edges, name=None):
@@ -77,6 +84,18 @@ def blocks_for(n, sets=1) -> tuple[MemoryBlock, ...]:
 
 def space_for(n_blocks, k) -> StateSpace:
     return StateSpace(k=k, blocks=blocks_for(n_blocks))
+
+
+def raw_model(pg, focus, k):
+    """`unsimplified_model` over the projection's own state space and successor table."""
+    space = StateSpace(k=k, blocks=block_universe(pg))
+    return unsimplified_model(pg, focus, space, adjacency(pg, space.blocks))
+
+
+def pruned_model(pg, focus, may, space):
+    """`simplify_for` with the successor table and the may-live blocks built here."""
+    adj = adjacency(pg, space.blocks)
+    return simplify_for(pg, focus, may, space, adj, may_live_blocks(may, space))
 
 
 # --- concrete-semantics oracles ----------------------------------------------

@@ -17,7 +17,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import cfg_text, decoded_states, loop_cfg, small_config, space_for, straightline_cfg
+from helpers import (
+    cfg_text,
+    decoded_states,
+    loop_cfg,
+    raw_model,
+    small_config,
+    space_for,
+    straightline_cfg,
+)
 from lrucheck.ai import (
     EXISTS_HIT,
     EXISTS_MISS,
@@ -32,14 +40,12 @@ from lrucheck.ai import (
 from lrucheck.bench import GenSpec, generate
 from lrucheck.cfg import CacheConfig, block_universe, project
 from lrucheck.classify import Mode, Provenance, classify_all, verify_against_oracle
-from lrucheck.concrete import InitMode
-from lrucheck.concrete import space_for as graph_space
+from lrucheck.concrete import InitMode, StateSpace
 from lrucheck.focused import (
     EPSILON,
     alpha_focus,
     focused_reach,
     initial_focused,
-    unsimplified_model,
     update_focus,
 )
 from lrucheck.verdict import Verdict
@@ -106,7 +112,7 @@ def test_check_1_loop_fixpoint_tables():
         config = CacheConfig(associativity=k, num_sets=1, block_size=8)
         g = loop_cfg(config)
         pg = project(g, 0, config)
-        space = graph_space(pg, k)
+        space = StateSpace(k=k, blocks=block_universe(pg))
         fixes = {
             "must": fixpoint(MUST, pg, space, InitMode.EMPTY),
             "may": fixpoint(MAY, pg, space, InitMode.EMPTY),
@@ -140,7 +146,7 @@ def test_check_2_straightline_focused_trace():
     pg = project(g, 0, config)
     by_index = {b.index: b for b in block_universe(pg)}
     focus = by_index[0]  # accessed third, then aged out by the last two accesses
-    model = unsimplified_model(pg, focus, 2)
+    model = raw_model(pg, focus, 2)
     init = initial_focused(model.positions, 2, InitMode.EMPTY)
     reach = focused_reach(model, init)
     states = decoded_states(reach)

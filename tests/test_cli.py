@@ -408,6 +408,37 @@ def test_generated_golden_reports(capsys, generated_dir, key):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want["sha256"]
 
 
+#: sha256 of every `export-smv` file of docs/examples with LOOP_FLAGS, per
+#: mode, initial cache and simplification, for the residual blocks and for
+#: each `--block`, recorded before the focused models lost their live sets.
+SMV = json.loads((GOLDEN / "smv.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("simplify", ["simplify", "no-simplify"])
+@pytest.mark.parametrize("init", ["empty", "unknown"])
+@pytest.mark.parametrize("mode", ["ai-only", "ai+mc", "mc-only", "ai+mc-no-du"])
+@pytest.mark.parametrize("example", ["loop", "straightline"])
+def test_golden_smv_exports(capsys, tmp_path, example, mode, init, simplify):
+    case = f"{example}.{mode}.{init}.{simplify}"
+    keys = [k for k in SMV["exports"] if k == case or k.startswith(case + ".block")]
+    assert keys
+    for key in keys:
+        extra = ["--no-simplify"] if simplify == "no-simplify" else []
+        if key != case:
+            extra += ["--block", key.rsplit(".block", 1)[1]]
+        outdir = tmp_path / key
+        code, out, err = run_cli(
+            capsys, "export-smv", str(REPO / "docs" / "examples" / f"{example}.json"),
+            *SMV["export"], "--mode", mode, "--init", init, *extra, "--outdir", str(outdir),
+        )
+        assert (code, err) == (0, "")
+        got = {
+            Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+            for p in out.split()
+        }
+        assert got == SMV["exports"][key], key
+
+
 def test_input_error_exit_codes(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == 4
@@ -423,6 +454,26 @@ def test_input_error_exit_codes(capsys, tmp_path):
     bad_config.write_text(cfg_text("a", ["a"], []), encoding="utf-8")
     code, out, err = run_cli(capsys, "analyze", str(bad_config), "--assoc", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--gen-vertices", "1"),
+        ("--gen-branch-p", "2"),
+        ("--gen-access-p", "-0.5"),
+        ("--gen-blocks", "0"),
+        ("--sets", "3"),
+        ("--block-size", "12"),
+    ],
+)
+def test_gen_range_errors_are_usage_errors(capsys, tmp_path, flag, value):
+    code, out, err = run_cli(capsys, "gen", "--outdir", str(tmp_path / "out"), flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
 
 
 def test_log_level_variable(tmp_path):

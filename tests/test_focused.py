@@ -15,6 +15,8 @@ from helpers import (
     decode_mask,
     decoded_states,
     encode_state,
+    pruned_model,
+    raw_model,
     reference_reach,
     reference_seeds,
     reference_simplified_edges,
@@ -35,8 +37,6 @@ from lrucheck.focused import (
     check_access,
     focused_reach,
     initial_focused,
-    simplify_for,
-    unsimplified_model,
     update_focus,
 )
 from lrucheck.verdict import Verdict
@@ -124,7 +124,7 @@ def test_mask_transfer_matches_update_focus():
                     edges = [("a", "b", 8 * block.index)]
                     edges += [("z", "z", 8 * b.index) for b in blocks if b != block]
                     pg = project(build_cfg("a", ["a", "b", "z"], edges, config), 0, config)
-                    model = unsimplified_model(pg, focus, k)
+                    model = raw_model(pg, focus, k)
                     for state in states:
                         reach = focused_reach(model, [encode_state(state, model.blocks)])
                         want = update_focus(state, block, focus, k)
@@ -176,9 +176,8 @@ def test_mask_search_matches_reference_search(init):
             space = analysis.space
             residual = analysis.residual_by_block()
             for simplified in (False, True):
-                model_for = analysis.model_factory(simplified)
                 for focus in space.blocks:
-                    model = model_for(focus)
+                    model = analysis.model(focus, simplified)
                     if simplified:
                         edges = reference_simplified_edges(pg, focus, analysis.may, k, space)
                     else:
@@ -214,10 +213,10 @@ def straight_model(k2_config, straight2, simplified):
     pg = project(straight2, 0, k2_config)
     focus = block_universe(pg)[0]
     if not simplified:
-        return pg, unsimplified_model(pg, focus, 2)
+        return pg, raw_model(pg, focus, 2)
     space = StateSpace(k=2, blocks=block_universe(pg))
     may = fixpoint(MAY, pg, space)
-    return pg, simplify_for(pg, focus, may, space)
+    return pg, pruned_model(pg, focus, may, space)
 
 
 @pytest.mark.parametrize("simplified", [False, True])
@@ -243,15 +242,6 @@ def test_straightline_reach_golden(k2_config, straight2, simplified):
 def test_straightline_simplification_shape(k2_config, straight2):
     pg, model = straight_model(k2_config, straight2, simplified=True)
     b = {blk.index: blk for blk in block_universe(pg)}
-    assert model.simplified
-    assert model.live_blocks == {
-        "v0": frozenset(),
-        "v1": frozenset({b[3]}),
-        "v2": frozenset({b[3], b[4]}),
-        "v3": frozenset({b[0], b[4]}),
-        "v4": frozenset({b[0], b[1]}),
-        "v5": frozenset({b[1], b[2]}),
-    }
     # the first two accesses happen while the focus is provably uncached
     relabeled = [
         (e.src, e.dst) for e, raw in zip(model.edges(), pg.edges)
@@ -271,7 +261,7 @@ def test_simplify_drops_new_noaccess_selfloops(k2_config):
     space = StateSpace(k=2, blocks=block_universe(pg))
     may = fixpoint(MAY, pg, space)
     focus = space.blocks[0]
-    model = simplify_for(pg, focus, may, space)
+    model = pruned_model(pg, focus, may, space)
     pairs = [(e.src, e.dst, e.block) for e in model.edges()]
     assert pairs == [("e", "x", focus), ("e", "u", None)]
 
@@ -285,8 +275,8 @@ def test_simplify_handles_unreachable_vertices(k2_config):
     pg = project(g, 0, k2_config)
     space = StateSpace(k=2, blocks=block_universe(pg))
     may = fixpoint(MAY, pg, space)
-    model = simplify_for(pg, space.blocks[0], may, space)
-    assert model.live_blocks["dead"] == frozenset()
+    model = pruned_model(pg, space.blocks[0], may, space)
+    assert model.universe == ()
     dead_edge = [e for e in model.edges() if e.src == "dead"][0]
     assert dead_edge.block is None
 
@@ -294,7 +284,7 @@ def test_simplify_handles_unreachable_vertices(k2_config):
 def loop_model(k2_config, loop2):
     pg = project(loop2, 0, k2_config)
     focus = block_universe(pg)[0]
-    return pg, unsimplified_model(pg, focus, 2)
+    return pg, raw_model(pg, focus, 2)
 
 
 def test_loop_reach_mixes_hit_and_miss(k2_config, loop2):
@@ -330,22 +320,21 @@ def test_early_exit_never_fires_when_goal_holds(k2_config):
     g = build_cfg("a", ["a", "b", "c"], [("a", "b", 0), ("b", "c", 0)], k2_config)
     pg = project(g, 0, k2_config)
     focus = block_universe(pg)[0]
-    model = unsimplified_model(pg, focus, 2)
+    model = raw_model(pg, focus, 2)
     init = initial_focused(model.positions, 2, InitMode.EMPTY)
     # the second access always hits: no epsilon ever shows up at b
     reach = focused_reach(model, init, goals=[("b", True, False)])
     assert not reach.partial
     verdict = check_access(reach, accesses_of(pg)[1], exists_hit=True)
-    assert verdict.result is Verdict.ALWAYS_HIT
+    assert verdict is Verdict.ALWAYS_HIT
 
 
 def tiny_reach(k2_config, src_states, partial=False):
     g = build_cfg("s", ["s", "t"], [("s", "t", 0)], k2_config)
     pg = project(g, 0, k2_config)
-    model = unsimplified_model(pg, block_universe(pg)[0], 2)
+    model = raw_model(pg, block_universe(pg)[0], 2)
     blocks = (*model.blocks, MemoryBlock(1, 0))
     return FocusedReach(
-        focus=model.focus,
         states={"s": {encode_state(s, blocks) for s in src_states}, "t": set()},
         explored=len(src_states),
         partial=partial,
@@ -363,16 +352,16 @@ def test_check_access_dispatch_table(k2_config):
     def run(states, partial=False, **flags):
         return check_access(tiny_reach(k2_config, states, partial), access, **flags)
 
-    assert run(cached_only, exists_hit=True).result is Verdict.ALWAYS_HIT
-    assert run(both, exists_hit=True).result is Verdict.DEFINITELY_UNKNOWN
-    assert run(eps_only, exists_miss=True).result is Verdict.ALWAYS_MISS
-    assert run(both, exists_miss=True).result is Verdict.DEFINITELY_UNKNOWN
-    assert run(cached_only).result is Verdict.ALWAYS_HIT
-    assert run(eps_only).result is Verdict.ALWAYS_MISS
-    assert run(both).result is Verdict.DEFINITELY_UNKNOWN
+    assert run(cached_only, exists_hit=True) is Verdict.ALWAYS_HIT
+    assert run(both, exists_hit=True) is Verdict.DEFINITELY_UNKNOWN
+    assert run(eps_only, exists_miss=True) is Verdict.ALWAYS_MISS
+    assert run(both, exists_miss=True) is Verdict.DEFINITELY_UNKNOWN
+    assert run(cached_only) is Verdict.ALWAYS_HIT
+    assert run(eps_only) is Verdict.ALWAYS_MISS
+    assert run(both) is Verdict.DEFINITELY_UNKNOWN
     # refutations stay valid on partial searches
-    assert run(both, partial=True, exists_hit=True).result is Verdict.DEFINITELY_UNKNOWN
-    assert run(both, partial=True).result is Verdict.DEFINITELY_UNKNOWN
+    assert run(both, partial=True, exists_hit=True) is Verdict.DEFINITELY_UNKNOWN
+    assert run(both, partial=True) is Verdict.DEFINITELY_UNKNOWN
 
 
 def test_check_access_rejects_redundant_and_partial_universal(k2_config):
@@ -395,7 +384,7 @@ def goal_search(k2_config, edges, goals):
     """Search from an empty cache with block 0 (address 0) as the focus."""
     vertices = sorted({v for e in edges for v in e[:2]} | {"e"})
     pg = project(build_cfg("e", vertices, edges, k2_config), 0, k2_config)
-    model = unsimplified_model(pg, MemoryBlock(0, 0), 2)
+    model = raw_model(pg, MemoryBlock(0, 0), 2)
     return focused_reach(model, initial_focused(model.positions, 2, InitMode.EMPTY), goals)
 
 

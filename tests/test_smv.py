@@ -6,7 +6,15 @@ from collections import defaultdict
 
 import pytest
 
-from helpers import build_cfg, corpus_programs, decode_mask, decoded_states, small_config
+from helpers import (
+    build_cfg,
+    corpus_programs,
+    decode_mask,
+    decoded_states,
+    pruned_model,
+    raw_model,
+    small_config,
+)
 from smv_eval import all_assignments, analyze, eval_expr, parse_module
 from test_ai import exists_miss_only_cfg
 from lrucheck.ai import MAY, fixpoint
@@ -17,9 +25,7 @@ from lrucheck.focused import (
     export_smv,
     focused_reach,
     initial_focused,
-    simplify_for,
     smv_filename,
-    unsimplified_model,
 )
 
 
@@ -31,8 +37,8 @@ def build_model(g, config, focus_index, simplified, init):
     if simplified:
         space = StateSpace(k=k, blocks=universe)
         may = fixpoint(MAY, pg, space, init)
-        return pg, simplify_for(pg, focus, may, space)
-    return pg, unsimplified_model(pg, focus, k)
+        return pg, pruned_model(pg, focus, may, space)
+    return pg, raw_model(pg, focus, k)
 
 
 def assert_model_matches_search(g, config, focus_index, simplified, init):

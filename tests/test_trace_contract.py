@@ -3,9 +3,11 @@
 `perfbench/tracing.py` wraps public lrucheck functions and extracts counts
 from their return values; a metric whose extractor breaks is silently left
 out of the traced summary.  These tests run the extractors on real return
-values, and a whole traced analysis, so a refactor of the focused search
-cannot drop `focused.states`, `focused.universe_mean` or
-`focused.init_states` unnoticed.
+values, and whole traced analyses, so a refactor of the focused search
+cannot drop `focused.states`, `focused.universe_mean`, `focused.init_states`,
+`focused.model_s` or `focused.check_s` unnoticed.  Every name the tracer
+wraps must still resolve: a renamed function would otherwise drop its
+metrics without an error.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from lrucheck.cfg import block_universe, project
-from lrucheck.concrete import InitMode
+from lrucheck.cfg import adjacency, block_universe, project
+from lrucheck.concrete import InitMode, StateSpace
 from lrucheck.focused import focused_reach, initial_focused, unsimplified_model
 
 REPO = Path(__file__).resolve().parent.parent
@@ -38,7 +40,8 @@ def tracing():
 
 def test_focused_extractors_read_real_values(tracing, k2_config, loop2):
     pg = project(loop2, 0, k2_config)
-    model = unsimplified_model(pg, block_universe(pg)[0], 2)
+    space = StateSpace(k=2, blocks=block_universe(pg))
+    model = unsimplified_model(pg, space.blocks[0], space, adjacency(pg, space.blocks))
     seeds = initial_focused(model.positions, 2, InitMode.UNKNOWN)
     reach = focused_reach(model, seeds)
 
@@ -50,22 +53,39 @@ def test_focused_extractors_read_real_values(tracing, k2_config, loop2):
     }
 
 
-def test_traced_analysis_reports_focused_metrics(tracing):
+def traced_analyze(tracing, mode):
+    """Run `analyze` on loop.json (k=2, unknown cache) under the tracer."""
     from lrucheck.cli import main
 
     tracer = tracing.Tracer()
     tracer.install()
     try:
+        assert not tracer.missing
         with contextlib.redirect_stdout(io.StringIO()):
             code = main([
                 "analyze", str(LOOP_JSON), "--assoc", "2", "--sets", "1", "--block-size", "8",
-                "--mode", "mc-only", "--init", "unknown",
+                "--mode", mode, "--init", "unknown",
             ])
     finally:
         tracer.uninstall()
     assert code == 0
     assert not tracer.broken
+    return tracer
+
+
+def test_traced_analysis_reports_focused_metrics(tracing):
+    tracer = traced_analyze(tracing, "mc-only")
     summary = tracer.summary(passes=1)
     for metric in FOCUSED_METRICS:
         assert summary[metric][0] > 0, metric
     assert summary["focused.runs"][0] == 2
+
+
+def test_traced_ai_mc_reports_model_and_check_times(tracing):
+    tracer = traced_analyze(tracing, "ai+mc")
+    summary = tracer.summary(passes=1)
+    assert "focused.model_s" in summary
+    assert "focused.check_s" in summary
+    calls = [sp.name for sp in tracer.spans]
+    assert calls.count("focused.simplify_for") == 2
+    assert calls.count("focused.check_access") == 2
