@@ -14,7 +14,6 @@ import logging
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 from .ai import (
@@ -53,7 +52,6 @@ from .focused import (
     check_access,
     focused_reach,
     initial_focused,
-    may_live_blocks,
     simplify_for,
     unsimplified_model,
 )
@@ -211,27 +209,24 @@ class SetAnalysis:
             by_block.setdefault(c.access.block, []).append(c)
         return {b: by_block[b] for b in sorted(by_block)}
 
-    @cached_property
-    def may_live(self) -> tuple[MemoryBlock, ...]:
-        """The set's may-live blocks, computed on the first simplified model."""
-        return may_live_blocks(self.may, self.space)
-
     def model(self, block: MemoryBlock, simplify: bool) -> FocusedModel:
         """The focused model of `block`; simplified only when a may fixpoint exists."""
         if simplify and self.may is not None:
-            return simplify_for(self.graph, block, self.may, self.space, self.adj, self.may_live)
+            return simplify_for(self.graph, block, self.may, self.space, self.adj)
         return unsimplified_model(self.graph, block, self.space, self.adj)
 
 
-def abstract_phase(pg: ProjectedCfg, k: int, init: InitMode, mode: Mode) -> SetAnalysis:
+def abstract_phase(
+    pg: ProjectedCfg, k: int, init: InitMode, mode: Mode, accesses: list[AccessId]
+) -> SetAnalysis:
     """Run the abstract domains of `mode` over one projected graph.
 
-    ai+mc and ai-only run exists-hit and exists-miss only: their carried
-    halves are the must and may fixpoints.  ai+mc-no-du runs must and may.
-    mc-only runs nothing and leaves every access residual.  Every mode builds
-    the successor table the fixpoints and the focused search share.
+    `accesses` must be `accesses_of(pg)` (see `accesses_by_set`).  ai+mc and
+    ai-only run exists-hit and exists-miss only: their carried halves are the
+    must and may fixpoints.  ai+mc-no-du runs must and may.  mc-only runs
+    nothing and leaves every access residual.  Every mode builds the
+    successor table the fixpoints and the focused search share.
     """
-    accesses = accesses_of(pg)
     space = StateSpace(k=k, blocks=block_universe(pg))
     settled: dict[AccessId, FinalVerdict] = {}
     adj = adjacency(pg, space.blocks) if accesses else None
@@ -259,6 +254,19 @@ def abstract_phase(pg: ProjectedCfg, k: int, init: InitMode, mode: Mode) -> SetA
     return SetAnalysis(pg, space, accesses, settled, residual, may, adj)
 
 
+def accesses_by_set(g: Cfg, num_sets: int) -> tuple[list[AccessId], list[list[AccessId]]]:
+    """`accesses_of(g)`, and the same accesses split by cache set.
+
+    Projection keeps a set's access edges in order and with their identities,
+    so the list of set s is `accesses_of(project(g, s, config))`.
+    """
+    accesses = accesses_of(g)
+    by_set: list[list[AccessId]] = [[] for _ in range(num_sets)]
+    for a in accesses:
+        by_set[a.block.set_index].append(a)
+    return accesses, by_set
+
+
 def _classify_set(
     pg: ProjectedCfg,
     k: int,
@@ -266,10 +274,11 @@ def _classify_set(
     mode: Mode,
     simplify: bool,
     mc_budget: int,
+    accesses: list[AccessId],
 ) -> tuple[dict[AccessId, FinalVerdict], PhaseStats, StateSpace]:
     stats = PhaseStats()
     t0 = time.perf_counter()
-    analysis = abstract_phase(pg, k, init, mode)
+    analysis = abstract_phase(pg, k, init, mode, accesses)
     if not analysis.accesses:
         return {}, stats, analysis.space
     results = dict(analysis.settled)
@@ -333,18 +342,19 @@ def classify_all(
     Results are merged in set order and reported in the program's access
     order.
     """
+    accesses, by_set = accesses_by_set(g, config.num_sets)
     merged: dict[AccessId, FinalVerdict] = {}
     stats = PhaseStats()
     sets: list[tuple[ProjectedCfg, StateSpace]] = []
     for s in range(config.num_sets):
         pg = project(g, s, config)
         results, set_stats, space = _classify_set(
-            pg, config.associativity, init, mode, simplify, mc_budget
+            pg, config.associativity, init, mode, simplify, mc_budget, by_set[s]
         )
         merged.update(results)
         stats.absorb(set_stats)
         sets.append((pg, space))
-    ordered = [merged[a] for a in accesses_of(g)]
+    ordered = [merged[a] for a in accesses]
     return ClassifyResult(verdicts=ordered, stats=stats, sets=sets)
 
 

@@ -29,7 +29,7 @@ from .bench import (
     write_csv,
 )
 from .cfg import CacheConfig, CfgParseError, load_cfg, project
-from .classify import Mode, abstract_phase, classify_all, verify_against_oracle
+from .classify import Mode, abstract_phase, accesses_by_set, classify_all, verify_against_oracle
 from .concrete import DEFAULT_ORACLE_BUDGET, InitMode
 from .focused import DEFAULT_MC_BUDGET, export_smv, smv_filename
 from .report import build_report, render_report
@@ -257,8 +257,11 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
 
     written: list[str] = []
     known_blocks: set[int] = set()
+    _, by_set = accesses_by_set(g, config.num_sets)
     for s in range(config.num_sets):
-        analysis = abstract_phase(project(g, s, config), config.associativity, init, mode)
+        analysis = abstract_phase(
+            project(g, s, config), config.associativity, init, mode, by_set[s]
+        )
         if not analysis.accesses:
             continue
         known_blocks.update(b.index for b in analysis.space.blocks)

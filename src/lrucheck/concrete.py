@@ -1,14 +1,18 @@
 """Concrete LRU cache semantics and the exact (enumerating) oracle.
 
-A cache set with associativity k is modeled by the age of every memory block:
-age 0 is most recently used, ages grow with every access to a younger block,
-and age k means "not cached".  Valid states keep at most k blocks cached, with
-pairwise distinct cached ages forming an initial segment 0..c-1.
+A cache set with associativity k holds at most k memory blocks, ordered from
+most to least recently used.  A concrete state is that order: the tuple of
+the cached blocks' positions in `StateSpace.blocks`, youngest first.  The age
+of a block is its index in the tuple, or k when it is absent (not cached).
+An access moves its block to the front; when the block was absent, the
+oldest block falls off the end once the tuple would exceed k entries.
 
 The oracle computes, per program point, the exact set of cache states an
 execution can be in (a least fixpoint of the reachable-state equations), and
-classifies accesses from it.  It enumerates states explicitly, so it is only
-usable on small universes; a state-count budget guards against blowup.
+classifies accesses from it.  It enumerates states explicitly over the raw
+projection, sharing nothing with the abstract domains or the focused search
+it checks, so it is only usable on small universes; a (vertex, state) pair
+budget guards against blowup.
 """
 
 from __future__ import annotations
@@ -16,14 +20,15 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 from .cfg import AccessId, MemoryBlock, ProjectedCfg, out_edges, reverse_post_order
 from .verdict import Verdict
 
-#: Concrete cache state: block ages aligned with StateSpace.blocks.
+#: Concrete cache state: positions in StateSpace.blocks of the cached blocks,
+#: youngest first, at most k of them.
 ConcreteState = tuple[int, ...]
 
 DEFAULT_ORACLE_BUDGET = 10**6
@@ -45,10 +50,10 @@ class InitMode(enum.Enum):
 
 @dataclass(frozen=True)
 class StateSpace:
-    """A fixed block universe plus associativity; home of all state operations.
+    """A fixed block universe plus associativity.
 
-    States are age tuples aligned with `blocks`.  Keeping the universe in one
-    shared object makes states plain hashable tuples, cheap to store in sets.
+    Every analysis of a cache set refers to blocks by their position in
+    `blocks`, so one shared object fixes the meaning of every state.
     """
 
     k: int
@@ -69,72 +74,16 @@ class StateSpace:
     def index_of(self, block: MemoryBlock) -> int:
         return self._index[block]
 
-    def age_of(self, q: ConcreteState, block: MemoryBlock) -> int:
-        return q[self._index[block]]
-
-    def empty_state(self) -> ConcreteState:
-        return (self.k,) * len(self.blocks)
-
-    def is_valid(self, q: ConcreteState) -> bool:
-        """Check the LRU state invariant.
-
-        At most k blocks cached; cached ages pairwise distinct and forming an
-        initial segment {0, ..., c-1}; every age within 0..k.
-        """
-        if len(q) != len(self.blocks):
-            return False
-        if any(a < 0 or a > self.k for a in q):
-            return False
-        cached = sorted(a for a in q if a < self.k)
-        return len(cached) <= self.k and cached == list(range(len(cached)))
-
     def count_states(self) -> int:
-        """How many valid states `all_states` enumerates, without enumerating them."""
+        """How many concrete states this universe has: Σ perm(n, c) for c ≤ k."""
         n = len(self.blocks)
         return sum(math.perm(n, c) for c in range(min(self.k, n) + 1))
 
-    def all_states(self) -> list[ConcreteState]:
-        """Every valid state over this universe, in deterministic order."""
-        n = len(self.blocks)
-        out: list[ConcreteState] = []
-        for c in range(min(self.k, n) + 1):
-            for cached in itertools.permutations(range(n), c):
-                ages = [self.k] * n
-                for age, pos in enumerate(cached):
-                    ages[pos] = age
-                out.append(tuple(ages))
-        return sorted(set(out))
 
-    def update(self, q: ConcreteState, block: MemoryBlock) -> ConcreteState:
-        """Age shift after accessing `block`.
-
-        The accessed block becomes age 0.  Blocks at least as old keep their
-        age, younger blocks age by one.  A younger block already at age k
-        stays at k; that case cannot arise from a valid state (ages are capped
-        at k, so nothing can be younger than an uncached block while itself
-        being uncached) but the rule is total anyway.
-        """
-        i = self._index[block]
-        age_b = q[i]
-        k = self.k
-        out = []
-        for j, age in enumerate(q):
-            if j == i:
-                out.append(0)
-            elif age >= age_b:
-                out.append(age)
-            elif age < k:
-                out.append(age + 1)
-            else:
-                out.append(k)
-        return tuple(out)
-
-
-def initial_states(space: StateSpace, init: InitMode) -> frozenset[ConcreteState]:
-    """Concrete states the cache may start in."""
-    if init is InitMode.EMPTY:
-        return frozenset({space.empty_state()})
-    return frozenset(space.all_states())
+def _over_budget(g: ProjectedCfg, budget: int) -> OracleCapacityError:
+    return OracleCapacityError(
+        f"oracle needs more than {budget} (vertex, state) pairs on {g.name!r}"
+    )
 
 
 def collecting_semantics(
@@ -145,60 +94,64 @@ def collecting_semantics(
 ) -> dict[str, frozenset[ConcreteState]]:
     """Exact per-vertex reachable cache-state sets.
 
-    Least fixpoint of: entry holds the initial states; each edge propagates
-    the source vertex's states through its access (no-access edges propagate
-    states unchanged).  Vertices unreachable from the entry end up with the
-    empty set.  Raises OracleCapacityError when the total number of
-    (vertex, state) pairs exceeds `budget`.
+    Least fixpoint of: entry holds the initial states (the empty cache, or
+    every state of `space`); each edge propagates the source vertex's states
+    through its access (no-access edges propagate states unchanged).
+    Vertices unreachable from the entry end up with the empty set.  Raises
+    OracleCapacityError when the total number of (vertex, state) pairs
+    exceeds `budget`.
     """
     # Check the seed count before enumerating: an unknown cache over a large
     # universe has more initial states than any budget can hold.
     total = 1 if init is InitMode.EMPTY else space.count_states()
     if total > budget:
-        raise OracleCapacityError(
-            f"oracle needs more than {budget} (vertex, state) pairs on {g.name!r}"
-        )
+        raise _over_budget(g, budget)
+    k, n = space.k, len(space.blocks)
+    if init is InitMode.EMPTY:
+        seeds = {()}
+    else:
+        seeds = {
+            q for c in range(min(k, n) + 1) for q in itertools.permutations(range(n), c)
+        }
     adj = out_edges(g)
+    index = space.index_of
+    succ = {
+        v: [(e.dst, None if e.block is None else index(e.block)) for e in edges]
+        for v, edges in adj.items()
+    }
     reach: dict[str, set[ConcreteState]] = {v: set() for v in g.vertices}
-    reach[g.entry] = set(initial_states(space, init))
+    reach[g.entry] = seeds
 
     order = reverse_post_order(g, adj)
-    from collections import deque
-
     work = deque(order)
     queued = set(order)
-    # Updates repeat heavily across fixpoint rounds; memoize per (state, block).
-    upd_cache: dict[tuple[ConcreteState, MemoryBlock], ConcreteState] = {}
     while work:
         v = work.popleft()
         queued.discard(v)
         src_states = reach[v]
         if not src_states:
             continue
-        for e in adj[v]:
-            if e.block is None:
+        for w, i in succ[v]:
+            if i is None:
                 image = src_states
             else:
                 image = set()
                 for q in src_states:
-                    key = (q, e.block)
-                    q2 = upd_cache.get(key)
-                    if q2 is None:
-                        q2 = space.update(q, e.block)
-                        upd_cache[key] = q2
-                    image.add(q2)
-            target = reach[e.dst]
+                    if i in q:
+                        j = q.index(i)
+                        image.add((i,) + q[:j] + q[j + 1:])
+                    else:
+                        image.add(((i,) + q)[:k])
+            target = reach[w]
             fresh = image - target
             if fresh:
                 target |= fresh
                 total += len(fresh)
                 if total > budget:
-                    raise OracleCapacityError(
-                        f"oracle needs more than {budget} (vertex, state) pairs on {g.name!r}"
-                    )
-                if e.dst not in queued:
-                    queued.add(e.dst)
-                    work.append(e.dst)
+                    raise _over_budget(g, budget)
+                if w not in queued:
+                    queued.add(w)
+                    work.append(w)
     return {v: frozenset(states) for v, states in reach.items()}
 
 
@@ -215,11 +168,9 @@ def exact_classify(
     vacuously and is reported always-hit.
     """
     states = reach[access.src]
-    k = space.k
     i = space.index_of(access.block)
-    if all(q[i] < k for q in states):
+    if all(i in q for q in states):
         return Verdict.ALWAYS_HIT
-    if all(q[i] == k for q in states):
+    if not any(i in q for q in states):
         return Verdict.ALWAYS_MISS
     return Verdict.DEFINITELY_UNKNOWN
-

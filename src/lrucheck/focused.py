@@ -8,20 +8,18 @@ single symbol epsilon meaning `a` is not cached.  This abstraction is exact
 for every question about `a` alone: it commutes with the LRU update.
 
 Explicit-state breadth-first search over (vertex, focused state) pairs then
-answers always-hit and always-miss questions about `a` precisely, on models
-that stay small because states are subsets of the few blocks that can still
-be cached at all (a may-analysis prunes the rest).
+answers always-hit and always-miss questions about `a` precisely.  A
+may-analysis keeps the search small: where it proves `a` uncached, accesses
+to other blocks cannot change the focused state, so they are dropped.
 
 A model (`FocusedModel`) is the cache set's successor table plus one focus.
 `unsimplified_model` takes the table as it is; `simplify_for` rewrites the
-rows where the may bounds prove the focus uncached and limits the younger-set
-alphabet to the set's may-live blocks (`may_live_blocks`, computed once per
-set).  Neither builds the table or the state space: callers pass the ones the
-abstract phase already built.
+rows where the may bounds prove the focus uncached.  Neither builds the table
+or the state space: callers pass the ones the abstract phase already built.
 
-`alpha_focus` and `update_focus` state the abstraction over frozensets of
-blocks; they are the reference the search is tested against.  The search
-itself encodes a state as an int.  A younger-set is a bitmask over the cache
+The test suite states the abstraction over frozensets of blocks and checks
+the search against it.  The search encodes a state as an int.  A
+younger-set is a bitmask over the cache
 set's blocks: bit i stands for `StateSpace.blocks[i]`, the same positions the
 per-set successor table (`cfg.adjacency`) labels its access edges with.
 Epsilon is `EPSILON_MASK`, -1: OR-ing any bit into it leaves it -1, so the
@@ -45,7 +43,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .cfg import AccessId, Adjacency, Edge, MemoryBlock, ProjectedCfg
 from .ai import Fixpoint
-from .concrete import ConcreteState, InitMode, StateSpace
+from .concrete import InitMode, StateSpace
 from .verdict import Verdict
 
 DEFAULT_MC_BUDGET = 2**20
@@ -55,53 +53,9 @@ class FocusedCapacityError(Exception):
     """The focused reachability search exceeded its state budget."""
 
 
-class _Epsilon:
-    """The focused state meaning "the focused block is not cached"."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "EPSILON"
-
-
-EPSILON = _Epsilon()
-
-#: Focused state: EPSILON, or the frozen set of blocks younger than the focus.
-#: (A `|` union, not typing.Union; see cfg.AnyCfg.)
-FocusedState = _Epsilon | frozenset
-
-#: The search's encoding of EPSILON; every other state is a mask >= 0.
+#: The search's encoding of the focused state "not cached" (epsilon); every
+#: other state is a mask >= 0.
 EPSILON_MASK = -1
-
-
-def alpha_focus(space: StateSpace, q: ConcreteState, focus: MemoryBlock) -> FocusedState:
-    """Project a concrete cache state onto the focused view for `focus`."""
-    age = space.age_of(q, focus)
-    if age >= space.k:
-        return EPSILON
-    return frozenset(b for b in space.blocks if space.age_of(q, b) < age)
-
-
-def update_focus(s: FocusedState, block: MemoryBlock, focus: MemoryBlock, k: int) -> FocusedState:
-    """Focused transfer for an access.
-
-    Accessing the focus empties its younger set.  Accessing anything else
-    while the focus is out of cache keeps it out; otherwise the block joins
-    the younger set, evicting the focus when the set would reach size k.
-    """
-    if block == focus:
-        return frozenset()
-    if s is EPSILON:
-        return EPSILON
-    grown = s | {block}
-    if len(grown) >= k:
-        return EPSILON
-    return grown
 
 
 @dataclass(frozen=True)
@@ -157,15 +111,14 @@ class FocusedModel:
     provably uncached; every other row is the set's `cfg.adjacency` row.
     `graph` is the projection the table was built from.
 
-    `universe` is the alphabet of younger sets: the blocks that can be cached
-    anywhere, minus the focus, at positions `positions` of `blocks`.
+    The alphabet of younger sets is every block but the focus: `universe`,
+    at positions `positions` of `blocks`.
     """
 
     graph: ProjectedCfg
     focus: MemoryBlock
     k: int
     blocks: tuple[MemoryBlock, ...]
-    universe: tuple[MemoryBlock, ...]
     succ: dict[str, tuple[tuple[str, int], ...]]
 
     @property
@@ -173,9 +126,12 @@ class FocusedModel:
         return self.blocks.index(self.focus)
 
     @property
+    def universe(self) -> tuple[MemoryBlock, ...]:
+        return tuple(b for b in self.blocks if b != self.focus)
+
+    @property
     def positions(self) -> tuple[int, ...]:
-        universe = set(self.universe)
-        return tuple(i for i, b in enumerate(self.blocks) if b in universe)
+        return tuple(i for i, b in enumerate(self.blocks) if b != self.focus)
 
     def edges(self) -> list[Edge]:
         """The model's edges in `graph`'s edge order.
@@ -194,37 +150,15 @@ class FocusedModel:
         return out
 
 
-def may_live_blocks(may_fix: Fixpoint, space: StateSpace) -> tuple[MemoryBlock, ...]:
-    """The blocks whose may bound is below k at some vertex, in `space.blocks` order.
-
-    No reachable cache state holds any other block.  These facts do not
-    depend on the focused block, so one call serves every model of a set.
-    Unreachable vertices (BOTTOM in the may fixpoint) contribute nothing.
-    """
-    k = space.k
-    live: set[int] = set()
-    for s in set(may_fix.values()):
-        if s is not None:
-            live.update(i for i, x in enumerate(s) if x < k)
-    return tuple(space.blocks[i] for i in sorted(live))
-
-
 def unsimplified_model(
     g: ProjectedCfg, focus: MemoryBlock, space: StateSpace, adj: Adjacency
 ) -> FocusedModel:
-    """Focused model over the raw projection: every block can be cached anywhere.
+    """Focused model over the raw projection.
 
     `space.blocks` must be `block_universe(g)` and `adj` must be
     `adjacency(g, space.blocks)`.
     """
-    return FocusedModel(
-        graph=g,
-        focus=focus,
-        k=space.k,
-        blocks=space.blocks,
-        universe=tuple(b for b in space.blocks if b != focus),
-        succ=adj.succ,
-    )
+    return FocusedModel(graph=g, focus=focus, k=space.k, blocks=space.blocks, succ=adj.succ)
 
 
 def simplify_for(
@@ -233,26 +167,17 @@ def simplify_for(
     may_fix: Fixpoint,
     space: StateSpace,
     adj: Adjacency,
-    live: Sequence[MemoryBlock],
 ) -> FocusedModel:
     """Shrink a projection to what can matter for the focused block.
 
-    Two reductions, both justified by the may analysis (lower age bounds):
+    An access edge whose source proves the focus uncached (may bound k) is
+    relabeled to a no-access edge, unless it accesses the focus itself: from
+    such a source the focused state is necessarily epsilon, which any other
+    access preserves, exactly like a no-access edge.  The access edges of
+    unreachable vertices (BOTTOM in the may fixpoint) are relabeled too; no
+    state ever reaches them.
 
-    * an access edge whose source proves the focus uncached (may bound k) is
-      relabeled to a no-access edge, unless it accesses the focus itself; from
-      such a source the focused state is necessarily epsilon, which any other
-      access preserves, exactly like a no-access edge;
-    * the universe drops every block whose may bound is k at every vertex,
-      since no reachable cache state holds it.
-
-    The access edges of unreachable vertices (BOTTOM in the may fixpoint) are
-    relabeled too; no state ever reaches them.
-
-    `adj` must be `adjacency(g, space.blocks)` and `live` must be
-    `may_live_blocks(may_fix, space)`.  The universe is `live` minus the
-    focus; it covers every block still accessed, since a kept access edge
-    leaves a reachable source and so makes its block live at the target.
+    `adj` must be `adjacency(g, space.blocks)`.
     """
     k = space.k
     focus_i = space.index_of(focus)
@@ -262,14 +187,7 @@ def simplify_for(
         s = may_fix[v]
         if s is None or s[focus_i] >= k:
             succ[v] = tuple([(w, i if i == focus_i else -1) for w, i in succ[v]])
-    return FocusedModel(
-        graph=g,
-        focus=focus,
-        k=k,
-        blocks=space.blocks,
-        universe=tuple(b for b in live if b != focus),
-        succ=succ,
-    )
+    return FocusedModel(graph=g, focus=focus, k=k, blocks=space.blocks, succ=succ)
 
 
 @dataclass

@@ -1,8 +1,12 @@
 """Shared builders and reference oracles for the test suite.
 
-The gamma_* functions are independent re-statements of what each abstract
-domain's states mean in terms of concrete states.  Tests check the production
-transfer functions and joins against these by enumeration, so the two
+The age-vector functions are the specification of the concrete LRU
+semantics: a state gives every block of a `StateSpace` its age, k meaning
+"not cached".  The oracle (`concrete.collecting_semantics`) is tested against
+them.  The gamma_* functions are independent re-statements of what each
+abstract domain's states mean in terms of concrete states, and
+`alpha_focus`/`update_focus` state the focused abstraction over frozensets.
+Tests check the production code against these by enumeration, so the two
 formulations never share code.
 """
 
@@ -12,16 +16,19 @@ import itertools
 import json
 from collections import deque
 
-from lrucheck.cfg import CacheConfig, Cfg, Edge, MemoryBlock, adjacency, block_universe, parse_cfg
-from lrucheck.concrete import StateSpace
-from lrucheck.focused import (
-    EPSILON,
-    EPSILON_MASK,
-    may_live_blocks,
-    simplify_for,
-    unsimplified_model,
-    update_focus,
+from lrucheck.cfg import (
+    CacheConfig,
+    Cfg,
+    Edge,
+    MemoryBlock,
+    adjacency,
+    block_universe,
+    out_edges,
+    parse_cfg,
+    reverse_post_order,
 )
+from lrucheck.concrete import InitMode, StateSpace
+from lrucheck.focused import EPSILON_MASK, simplify_for, unsimplified_model
 
 
 def cfg_text(entry, vertices, edges, name=None):
@@ -93,25 +100,128 @@ def raw_model(pg, focus, k):
 
 
 def pruned_model(pg, focus, may, space):
-    """`simplify_for` with the successor table and the may-live blocks built here."""
-    adj = adjacency(pg, space.blocks)
-    return simplify_for(pg, focus, may, space, adj, may_live_blocks(may, space))
+    """`simplify_for` with the successor table built here."""
+    return simplify_for(pg, focus, may, space, adjacency(pg, space.blocks))
 
 
-# --- concrete-semantics oracles ----------------------------------------------
+# --- concrete semantics: the age-vector specification ------------------------
+
+
+def age_of(space, q, block):
+    return q[space.index_of(block)]
+
+
+def empty_state(space):
+    return (space.k,) * len(space.blocks)
+
+
+def is_valid(space, q):
+    """Check the LRU state invariant.
+
+    At most k blocks cached; cached ages pairwise distinct and forming an
+    initial segment {0, ..., c-1}; every age within 0..k.
+    """
+    if len(q) != len(space.blocks):
+        return False
+    if any(a < 0 or a > space.k for a in q):
+        return False
+    cached = sorted(a for a in q if a < space.k)
+    return len(cached) <= space.k and cached == list(range(len(cached)))
+
+
+def all_states(space):
+    """Every valid state over the universe, in deterministic order."""
+    n = len(space.blocks)
+    out = []
+    for c in range(min(space.k, n) + 1):
+        for cached in itertools.permutations(range(n), c):
+            ages = [space.k] * n
+            for age, pos in enumerate(cached):
+                ages[pos] = age
+            out.append(tuple(ages))
+    return sorted(set(out))
+
+
+def update(space, q, block):
+    """Age shift after accessing `block`.
+
+    The accessed block becomes age 0.  Blocks at least as old keep their
+    age, younger blocks age by one.  A younger block already at age k stays
+    at k; that case cannot arise from a valid state (ages are capped at k, so
+    nothing can be younger than an uncached block while itself being
+    uncached) but the rule is total anyway.
+    """
+    i = space.index_of(block)
+    age_b = q[i]
+    k = space.k
+    out = []
+    for j, age in enumerate(q):
+        if j == i:
+            out.append(0)
+        elif age >= age_b:
+            out.append(age)
+        elif age < k:
+            out.append(age + 1)
+        else:
+            out.append(k)
+    return tuple(out)
+
+
+def initial_states(space, init):
+    """Age vectors the cache may start in."""
+    if init is InitMode.EMPTY:
+        return frozenset({empty_state(space)})
+    return frozenset(all_states(space))
+
+
+def age_vector(space, q):
+    """The age vector of an oracle state (cached positions, youngest first)."""
+    ages = [space.k] * len(space.blocks)
+    for age, pos in enumerate(q):
+        ages[pos] = age
+    return tuple(ages)
+
+
+def age_reach(space, reach):
+    """An oracle result with every state decoded to its age vector."""
+    return {v: frozenset(age_vector(space, q) for q in states) for v, states in reach.items()}
+
+
+def reference_collecting(g, space, init):
+    """Per-vertex reachable age vectors, by round-robin iteration to a fixpoint.
+
+    Propagates every edge until nothing changes; shares only the edge lists
+    with the oracle, not its worklist or its state encoding.
+    """
+    adj = out_edges(g)
+    reach = {v: set() for v in g.vertices}
+    reach[g.entry] = set(initial_states(space, init))
+    changed = True
+    while changed:
+        changed = False
+        for v in reverse_post_order(g, adj):
+            for e in adj[v]:
+                image = {q if e.block is None else update(space, q, e.block) for q in reach[v]}
+                if not image <= reach[e.dst]:
+                    reach[e.dst] |= image
+                    changed = True
+    return {v: frozenset(states) for v, states in reach.items()}
+
+
+# --- abstract-domain meanings --------------------------------------------------
 
 
 def gamma_must(space, bounds):
     """Valid states where every block's age is at most its bound."""
     return [
-        q for q in space.all_states() if all(a <= b for a, b in zip(q, bounds))
+        q for q in all_states(space) if all(a <= b for a, b in zip(q, bounds))
     ]
 
 
 def gamma_may(space, bounds):
     """Valid states where every block's age is at least its bound."""
     return [
-        q for q in space.all_states() if all(a >= b for a, b in zip(q, bounds))
+        q for q in all_states(space) if all(a >= b for a, b in zip(q, bounds))
     ]
 
 
@@ -178,7 +288,50 @@ def corpus_programs(count, base_seed=0, sets=1, block=8):
     return out
 
 
-# --- focused states: masks against the frozenset reference ---------------------
+# --- focused states: the frozenset reference, and masks against it -------------
+
+
+class _Epsilon:
+    """The focused state meaning "the focused block is not cached"."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self) -> str:
+        return "EPSILON"
+
+
+#: A focused state is EPSILON or the frozenset of blocks younger than the focus.
+EPSILON = _Epsilon()
+
+
+def alpha_focus(space, q, focus):
+    """Project an age vector onto the focused view for `focus`."""
+    age = age_of(space, q, focus)
+    if age >= space.k:
+        return EPSILON
+    return frozenset(b for b in space.blocks if age_of(space, q, b) < age)
+
+
+def update_focus(s, block, focus, k):
+    """Focused transfer for an access.
+
+    Accessing the focus empties its younger set.  Accessing anything else
+    while the focus is out of cache keeps it out; otherwise the block joins
+    the younger set, evicting the focus when the set would reach size k.
+    """
+    if block == focus:
+        return frozenset()
+    if s is EPSILON:
+        return EPSILON
+    grown = s | {block}
+    if len(grown) >= k:
+        return EPSILON
+    return grown
 
 
 def decode_mask(mask, blocks):

@@ -18,6 +18,9 @@ import numpy as np
 import pytest
 
 from helpers import (
+    EPSILON,
+    all_states,
+    alpha_focus,
     cfg_text,
     decoded_states,
     loop_cfg,
@@ -25,6 +28,8 @@ from helpers import (
     small_config,
     space_for,
     straightline_cfg,
+    update,
+    update_focus,
 )
 from lrucheck.ai import (
     EXISTS_HIT,
@@ -41,13 +46,7 @@ from lrucheck.bench import GenSpec, generate
 from lrucheck.cfg import CacheConfig, block_universe, project
 from lrucheck.classify import Mode, Provenance, classify_all, verify_against_oracle
 from lrucheck.concrete import InitMode, StateSpace
-from lrucheck.focused import (
-    EPSILON,
-    alpha_focus,
-    focused_reach,
-    initial_focused,
-    update_focus,
-)
+from lrucheck.focused import focused_reach, initial_focused
 from lrucheck.verdict import Verdict
 
 INITS = (InitMode.EMPTY, InitMode.UNKNOWN)
@@ -175,17 +174,17 @@ def test_check_3_focused_commutation():
     for m in range(1, 5):
         for k in range(1, 4):
             space = space_for(m, k)
-            for q in space.all_states():
+            for q in all_states(space):
                 for f in space.blocks:
                     a = alpha_focus(space, q, f)
                     for b in space.blocks:
-                        lhs = alpha_focus(space, space.update(q, b), f)
+                        lhs = alpha_focus(space, update(space, q, b), f)
                         rhs = update_focus(a, b, f, k)
                         checked += 1
                         if lhs != rhs:
                             failures.append((m, k, q, f.index, b.index))
     assert checked == sum(
-        len(space_for(m, k).all_states()) * m * m
+        len(all_states(space_for(m, k))) * m * m
         for m in range(1, 5)
         for k in range(1, 4)
     )
@@ -243,10 +242,10 @@ def _existential_update_violations(space, hit_side):
     """
     k, blocks = space.k, space.blocks
     n = len(blocks)
-    states = space.all_states()
+    states = all_states(space)
     src_min, src_max = _mask_tables(states)
     sigs = src_min if hit_side else src_max
-    images = {b: [space.update(q, b) for q in states] for b in blocks}
+    images = {b: [update(space, q, b) for q in states] for b in blocks}
     img_sigs = {
         b: _mask_tables(images[b])[0 if hit_side else 1] for b in blocks
     }
@@ -303,7 +302,7 @@ def _existential_join_violations(space, hit_side):
     any pool state to a valid Q keeps it valid, so every pool state occurs.
     """
     k, blocks = space.k, space.blocks
-    states = space.all_states()
+    states = all_states(space)
     src_min, src_max = _mask_tables(states)
     bounds_list = list(itertools.product(range(k + 1), repeat=len(blocks)))
     pools = {}
@@ -358,7 +357,7 @@ def _existential_join_direct(space, hit_side):
     """Literal enumeration of all (Q1, Q2) pairs; cross-checks the signature
     reduction on a universe small enough to afford it."""
     k, blocks = space.k, space.blocks
-    states = space.all_states()
+    states = all_states(space)
     bounds_list = list(itertools.product(range(k + 1), repeat=len(blocks)))
     absts = []
     for pool_bounds in bounds_list:

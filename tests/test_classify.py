@@ -6,10 +6,11 @@ import pytest
 
 from helpers import build_cfg, corpus_programs, small_config
 from test_ai import exists_hit_only_cfg, exists_miss_only_cfg
-from lrucheck.cfg import accesses_of
+from lrucheck.cfg import CacheConfig, accesses_of, project
 from lrucheck.classify import (
     Mode,
     Provenance,
+    accesses_by_set,
     classify_all,
     verify_against_oracle,
 )
@@ -243,6 +244,40 @@ def test_focused_searches_share_the_set_successor_table(monkeypatch, mode):
     assert result.stats.focused_runs > 0
     # one successor table per set with accesses, none per focused search
     assert calls == [pg.set_index for pg, _ in result.sets if accesses_of(pg)]
+
+
+def test_accesses_split_by_set_match_the_projections():
+    # Parallel edges give ordinals above 0 in both sets of the hand-built graph.
+    config = CacheConfig(associativity=2, num_sets=2, block_size=8)
+    parallel = build_cfg(
+        "a", ["a", "b"],
+        [("a", "b", 0), ("a", "b", 8), ("a", "b", 0), ("b", "b", 8), ("a", "b", 8)],
+        config,
+    )
+    cases = [("parallel", config, parallel)] + corpus_programs(24, base_seed=400, sets=None)
+    cases += corpus_programs(6, base_seed=500, sets=4)
+    for name, config, g in cases:
+        accesses, by_set = accesses_by_set(g, config.num_sets)
+        assert accesses == accesses_of(g), name
+        for s in range(config.num_sets):
+            assert by_set[s] == accesses_of(project(g, s, config)), (name, s)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_classify_walks_the_program_once_for_accesses(monkeypatch, mode):
+    import lrucheck.classify
+
+    calls = []
+    real = lrucheck.classify.accesses_of
+
+    def counting(g):
+        calls.append(type(g).__name__)
+        return real(g)
+
+    monkeypatch.setattr(lrucheck.classify, "accesses_of", counting)
+    name, config, g = corpus_programs(1, base_seed=300, sets=4)[0]
+    classify_all(g, config, InitMode.UNKNOWN, mode)
+    assert calls == ["Cfg"]
 
 
 @pytest.mark.parametrize("mode", [Mode.AI_MC, Mode.AI_ONLY])

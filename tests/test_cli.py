@@ -524,7 +524,7 @@ def test_reimport_frees_previous_package():
         "    importlib.import_module('lrucheck.cli')\n"
         "    return sys.modules\n"
         "mods = fresh()\n"
-        "old = [weakref.ref(mods['lrucheck.cfg'].Cfg), weakref.ref(type(mods['lrucheck.focused'].EPSILON))]\n"
+        "old = [weakref.ref(mods['lrucheck.cfg'].Cfg), weakref.ref(mods['lrucheck.focused'].FocusedModel)]\n"
         "fresh()\n"
         "gc.collect()\n"
         "sys.exit(sum(r() is not None for r in old))\n"

@@ -1,30 +1,44 @@
-"""Concrete LRU semantics and the enumerating oracle."""
+"""Concrete LRU semantics and the enumerating oracle.
+
+The age-vector functions of `helpers` specify the LRU semantics; the oracle
+works over cached-position tuples and is checked against them, decoded.
+"""
 
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (
+    age_reach,
+    all_states,
     blocks_for,
     build_cfg,
+    empty_state,
+    initial_states,
+    is_valid,
     loop_cfg,
+    reference_collecting,
     small_config,
     space_for,
     straightline_cfg,
+    update,
 )
-from lrucheck.cfg import accesses_of, project
+from lrucheck.bench import GenSpec, generate
+from lrucheck.cfg import CacheConfig, accesses_of, block_universe, load_cfg, project
 from lrucheck.concrete import (
     InitMode,
     OracleCapacityError,
     StateSpace,
     collecting_semantics,
     exact_classify,
-    initial_states,
 )
 from lrucheck.verdict import Verdict
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 
 def ages(space, mapping):
@@ -35,28 +49,28 @@ def ages(space, mapping):
 def test_update_loads_block_most_recently_used():
     space = space_for(3, k=2)
     b0, b1, b2 = space.blocks
-    q = space.empty_state()
-    q = space.update(q, b0)
+    q = empty_state(space)
+    q = update(space, q, b0)
     assert q == ages(space, {0: 0})
-    q = space.update(q, b1)
+    q = update(space, q, b1)
     assert q == ages(space, {0: 1, 1: 0})
     # third distinct block evicts the oldest (capacity 2)
-    q = space.update(q, b2)
+    q = update(space, q, b2)
     assert q == ages(space, {1: 1, 2: 0})
 
 
 def test_update_reaccess_mru_is_identity():
     space = space_for(2, k=2)
     b0, b1 = space.blocks
-    q = space.update(space.empty_state(), b0)
-    assert space.update(q, b0) == q
+    q = update(space, empty_state(space), b0)
+    assert update(space, q, b0) == q
 
 
 def test_update_hit_rejuvenates_without_aging_older():
     space = space_for(3, k=4)
     b0, b1, b2 = space.blocks
     q = ages(space, {0: 0, 1: 1, 2: 2})
-    q2 = space.update(q, b1)
+    q2 = update(space, q, b1)
     # b1 to the front; b0 (younger than b1) ages; b2 (older) keeps its age.
     assert q2 == ages(space, {0: 1, 1: 0, 2: 2})
 
@@ -65,11 +79,11 @@ def test_update_preserves_invariant_exhaustive():
     for n in range(1, 5):
         for k in range(1, 5):
             space = space_for(n, k)
-            for q in space.all_states():
-                assert space.is_valid(q)
+            for q in all_states(space):
+                assert is_valid(space, q)
                 for b in space.blocks:
-                    q2 = space.update(q, b)
-                    assert space.is_valid(q2), (n, k, q, b, q2)
+                    q2 = update(space, q, b)
+                    assert is_valid(space, q2), (n, k, q, b, q2)
 
 
 def test_update_truncation_case_unreachable_from_valid_states():
@@ -79,7 +93,7 @@ def test_update_truncation_case_unreachable_from_valid_states():
     for n in range(1, 5):
         for k in range(1, 4):
             space = space_for(n, k)
-            for q in space.all_states():
+            for q in all_states(space):
                 for b in space.blocks:
                     i = space.index_of(b)
                     assert not any(
@@ -89,22 +103,22 @@ def test_update_truncation_case_unreachable_from_valid_states():
 
 def test_all_states_counts():
     # sum over c of n!/(n-c)! cached arrangements
-    assert len(space_for(3, 2).all_states()) == 1 + 3 + 6
-    assert len(space_for(5, 4).all_states()) == 1 + 5 + 20 + 60 + 120
-    assert len(space_for(2, 4).all_states()) == 1 + 2 + 2
+    assert len(all_states(space_for(3, 2))) == 1 + 3 + 6
+    assert len(all_states(space_for(5, 4))) == 1 + 5 + 20 + 60 + 120
+    assert len(all_states(space_for(2, 4))) == 1 + 2 + 2
 
 
 def test_initial_states_modes():
     space = space_for(3, 2)
     assert initial_states(space, InitMode.EMPTY) == frozenset({(2, 2, 2)})
     unknown = initial_states(space, InitMode.UNKNOWN)
-    assert unknown == frozenset(space.all_states())
+    assert unknown == frozenset(all_states(space))
 
 
 def test_collecting_loop_golden(k2_config, loop2):
     pg = project(loop2, 0, k2_config)
     space = StateSpace(k=2, blocks=blocks_for(2))
-    reach = collecting_semantics(pg, space, InitMode.EMPTY)
+    reach = age_reach(space, collecting_semantics(pg, space, InitMode.EMPTY))
     empty = (2, 2)
     after_w = (1, 0)  # v age 1, w age 0
     after_v = (0, 2)
@@ -118,7 +132,7 @@ def test_collecting_loop_golden(k2_config, loop2):
 def test_collecting_straightline_trace(k2_config, straight2):
     pg = project(straight2, 0, k2_config)
     space = StateSpace(k=2, blocks=blocks_for(5))
-    reach = collecting_semantics(pg, space, InitMode.EMPTY)
+    reach = age_reach(space, collecting_semantics(pg, space, InitMode.EMPTY))
     # distinct blocks only: each prefix yields exactly one state
     for v in pg.vertices:
         assert len(reach[v]) == 1
@@ -152,7 +166,7 @@ def test_collecting_budget_error(k2_config, loop2):
 def test_count_states_matches_enumeration():
     for n, k in [(0, 2), (1, 1), (3, 2), (5, 4), (2, 4), (4, 3)]:
         space = space_for(n, k)
-        assert space.count_states() == len(space.all_states()), (n, k)
+        assert space.count_states() == len(all_states(space)), (n, k)
 
 
 def test_collecting_budget_checked_before_enumeration(k2_config):
@@ -205,17 +219,97 @@ def test_exact_classify_hit_miss_and_vacuous(k2_config):
 def test_collecting_fixpoint_is_stable(seed):
     # re-propagating every edge from the fixpoint adds nothing
     from helpers import corpus_programs
-    from lrucheck.cfg import block_universe, out_edges
+    from lrucheck.cfg import out_edges
 
     name, config, g = corpus_programs(3, base_seed=seed)[seed % 3]
     pg = project(g, 0, config)
     space = StateSpace(k=config.associativity, blocks=block_universe(pg))
-    reach = collecting_semantics(pg, space, InitMode.EMPTY)
+    reach = age_reach(space, collecting_semantics(pg, space, InitMode.EMPTY))
     for v, edges in out_edges(pg).items():
         for e in edges:
             image = {
-                space.update(q, e.block) if e.block is not None else q
+                update(space, q, e.block) if e.block is not None else q
                 for q in reach[v]
             }
             assert image <= reach[e.dst]
     assert initial_states(space, InitMode.EMPTY) <= reach[pg.entry]
+
+
+# --- the oracle against the age-vector specification -------------------------
+
+
+def assert_oracle_matches_spec(pg, space, init):
+    """Decoded oracle states equal the spec's at every vertex, and so do verdicts."""
+    reach = collecting_semantics(pg, space, init)
+    want = reference_collecting(pg, space, init)
+    assert age_reach(space, reach) == want, (pg.name, pg.set_index, space.k, init)
+    k = space.k
+    for a in accesses_of(pg):
+        i = space.index_of(a.block)
+        ages = [q[i] for q in want[a.src]]
+        if all(age < k for age in ages):
+            expected = Verdict.ALWAYS_HIT
+        elif all(age == k for age in ages):
+            expected = Verdict.ALWAYS_MISS
+        else:
+            expected = Verdict.DEFINITELY_UNKNOWN
+        assert exact_classify(space, reach, a) is expected, (pg.name, a.label)
+
+
+@pytest.mark.parametrize("k", (1, 2, 4))
+@pytest.mark.parametrize("init", list(InitMode))
+def test_oracle_matches_spec_on_examples(k, init):
+    for sets in (1, 2):
+        config = CacheConfig(associativity=k, num_sets=sets, block_size=8)
+        for path in sorted(EXAMPLES.glob("*.json")):
+            g = load_cfg(str(path), config)
+            for s in range(sets):
+                pg = project(g, s, config)
+                assert_oracle_matches_spec(pg, StateSpace(k=k, blocks=block_universe(pg)), init)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 6),
+    st.sampled_from((1, 2, 4)),
+    st.sampled_from(list(InitMode)),
+    st.integers(0, 2),
+)
+def test_oracle_matches_spec_on_generated(seed, n_blocks, k, init, loops):
+    config = CacheConfig(associativity=k, num_sets=1, block_size=8)
+    spec = GenSpec(vertices=4 + 3 * loops + seed % 6, loops=loops, depth=1 + seed % 2,
+                   blocks=n_blocks, seed=seed)
+    pg = project(generate(spec, config, name=f"gen{seed}"), 0, config)
+    space = StateSpace(k=k, blocks=block_universe(pg))
+    assert len(space.blocks) <= 6
+    assert_oracle_matches_spec(pg, space, init)
+
+
+def test_unknown_seeds_are_every_state():
+    # The entry has no incoming edge, so its states are the seeds; every
+    # block is accessed only on a self-loop of the unreachable vertex z.
+    for n in range(0, 7):
+        for k in range(1, 5):
+            config = small_config(k=k)
+            edges = [("a", "b", None)] + [("z", "z", 8 * i) for i in range(n)]
+            pg = project(build_cfg("a", ["a", "b", "z"], edges, config), 0, config)
+            space = StateSpace(k=k, blocks=block_universe(pg))
+            reach = collecting_semantics(pg, space, InitMode.UNKNOWN)
+            assert len(reach["a"]) == space.count_states(), (n, k)
+            assert age_reach(space, reach)["a"] == initial_states(space, InitMode.UNKNOWN)
+
+
+@pytest.mark.parametrize("init", list(InitMode))
+def test_budget_boundary_is_the_pair_count(init):
+    config = CacheConfig(associativity=2, num_sets=1, block_size=8)
+    for path in sorted(EXAMPLES.glob("*.json")):
+        pg = project(load_cfg(str(path), config), 0, config)
+        space = StateSpace(k=2, blocks=block_universe(pg))
+        pairs = sum(len(states) for states in reference_collecting(pg, space, init).values())
+        with pytest.raises(OracleCapacityError) as exc:
+            collecting_semantics(pg, space, init, budget=pairs - 1)
+        assert str(exc.value) == (
+            f"oracle needs more than {pairs - 1} (vertex, state) pairs on {pg.name!r}"
+        )
+        reach = collecting_semantics(pg, space, init, budget=pairs)
+        assert sum(len(states) for states in reach.values()) == pairs

@@ -9,11 +9,15 @@ import time
 import pytest
 
 from helpers import (
+    EPSILON,
+    all_states,
+    alpha_focus,
     blocks_for,
     build_cfg,
     corpus_programs,
     decode_mask,
     decoded_states,
+    empty_state,
     encode_state,
     pruned_model,
     raw_model,
@@ -22,6 +26,8 @@ from helpers import (
     reference_simplified_edges,
     small_config,
     space_for,
+    update,
+    update_focus,
 )
 from lrucheck.ai import MAY, fixpoint
 from lrucheck.bench import GenSpec, generate
@@ -29,15 +35,12 @@ from lrucheck.cfg import AccessId, CacheConfig, MemoryBlock, accesses_of, block_
 from lrucheck.classify import Mode, abstract_phase
 from lrucheck.concrete import InitMode, StateSpace
 from lrucheck.focused import (
-    EPSILON,
     EPSILON_MASK,
     FocusedCapacityError,
     FocusedReach,
-    alpha_focus,
     check_access,
     focused_reach,
     initial_focused,
-    update_focus,
 )
 from lrucheck.verdict import Verdict
 
@@ -73,11 +76,11 @@ def test_focus_abstraction_commutes_exhaustive():
     for n in range(1, 4):
         for k in range(1, 3):
             space = space_for(n, k)
-            for q in space.all_states():
+            for q in all_states(space):
                 for focus in space.blocks:
                     fs = alpha_focus(space, q, focus)
                     for b in space.blocks:
-                        lhs = alpha_focus(space, space.update(q, b), focus)
+                        lhs = alpha_focus(space, update(space, q, b), focus)
                         rhs = update_focus(fs, b, focus, k)
                         assert lhs == rhs, (n, k, q, focus, b)
 
@@ -95,9 +98,9 @@ def test_initial_focused_matches_alpha_image():
                     image = {
                         alpha_focus(space, q, focus)
                         for q in (
-                            [space.empty_state()]
+                            [empty_state(space)]
                             if init is InitMode.EMPTY
-                            else space.all_states()
+                            else all_states(space)
                         )
                     }
                     got = initial_focused(positions_without(space, focus), k, init)
@@ -170,7 +173,7 @@ def test_mask_search_matches_reference_search(init):
         k = config.associativity
         for s in range(config.num_sets):
             pg = project(g, s, config)
-            analysis = abstract_phase(pg, k, init, Mode.AI_MC)
+            analysis = abstract_phase(pg, k, init, Mode.AI_MC, accesses_of(pg))
             if not analysis.accesses:
                 continue
             space = analysis.space
@@ -276,7 +279,7 @@ def test_simplify_handles_unreachable_vertices(k2_config):
     space = StateSpace(k=2, blocks=block_universe(pg))
     may = fixpoint(MAY, pg, space)
     model = pruned_model(pg, space.blocks[0], may, space)
-    assert model.universe == ()
+    assert model.universe == (space.blocks[1],)
     dead_edge = [e for e in model.edges() if e.src == "dead"][0]
     assert dead_edge.block is None
 

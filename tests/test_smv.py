@@ -7,6 +7,7 @@ from collections import defaultdict
 import pytest
 
 from helpers import (
+    EPSILON,
     build_cfg,
     corpus_programs,
     decode_mask,
@@ -21,7 +22,6 @@ from lrucheck.ai import MAY, fixpoint
 from lrucheck.cfg import MemoryBlock, accesses_of, block_universe, project
 from lrucheck.concrete import InitMode, StateSpace
 from lrucheck.focused import (
-    EPSILON,
     export_smv,
     focused_reach,
     initial_focused,

@@ -1,13 +1,14 @@
-"""The benchmark's tracer still reads what the focused layer returns.
+"""The benchmark's tracer still reads what the focused layer and the oracle return.
 
 `perfbench/tracing.py` wraps public lrucheck functions and extracts counts
 from their return values; a metric whose extractor breaks is silently left
 out of the traced summary.  These tests run the extractors on real return
-values, and whole traced analyses, so a refactor of the focused search
-cannot drop `focused.states`, `focused.universe_mean`, `focused.init_states`,
-`focused.model_s` or `focused.check_s` unnoticed.  Every name the tracer
-wraps must still resolve: a renamed function would otherwise drop its
-metrics without an error.
+values, and whole traced runs, so a refactor of the focused search or the
+oracle cannot drop `focused.states`, `focused.universe_mean`,
+`focused.init_states`, `focused.model_s`, `focused.check_s`,
+`concrete.reach_s`, `concrete.classify_s` or `concrete.pairs` unnoticed.
+Every name the tracer wraps must still resolve: a renamed function would
+otherwise drop its metrics without an error.
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ from pathlib import Path
 
 import pytest
 
-from lrucheck.cfg import adjacency, block_universe, project
-from lrucheck.concrete import InitMode, StateSpace
+from helpers import reference_collecting
+from lrucheck.cfg import CacheConfig, adjacency, block_universe, load_cfg, project
+from lrucheck.concrete import InitMode, StateSpace, collecting_semantics
 from lrucheck.focused import focused_reach, initial_focused, unsimplified_model
 
 REPO = Path(__file__).resolve().parent.parent
 LOOP_JSON = REPO / "docs" / "examples" / "loop.json"
+LOOP_ARGS = [str(LOOP_JSON), "--assoc", "2", "--sets", "1", "--block-size", "8", "--init", "unknown"]
 FOCUSED_METRICS = ("focused.states", "focused.universe_mean", "focused.init_states")
+ORACLE_METRICS = ("concrete.reach_s", "concrete.classify_s", "concrete.pairs")
 
 
 @pytest.fixture(scope="module")
@@ -53,8 +57,23 @@ def test_focused_extractors_read_real_values(tracing, k2_config, loop2):
     }
 
 
-def traced_analyze(tracing, mode):
-    """Run `analyze` on loop.json (k=2, unknown cache) under the tracer."""
+def reference_pairs(pg, space, init):
+    """The (vertex, state) pair count of the age-vector specification."""
+    return sum(len(states) for states in reference_collecting(pg, space, init).values())
+
+
+def test_oracle_extractor_reads_real_values(tracing, k2_config, loop2):
+    pg = project(loop2, 0, k2_config)
+    space = StateSpace(k=2, blocks=block_universe(pg))
+    reach = collecting_semantics(pg, space, InitMode.UNKNOWN)
+
+    assert tracing._EXTRACT["concrete.collecting_semantics"](reach) == {
+        "pairs": reference_pairs(pg, space, InitMode.UNKNOWN),
+    }
+
+
+def traced_main(tracing, argv):
+    """Run the CLI under the tracer; every wrapped name must resolve."""
     from lrucheck.cli import main
 
     tracer = tracing.Tracer()
@@ -62,15 +81,17 @@ def traced_analyze(tracing, mode):
     try:
         assert not tracer.missing
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main([
-                "analyze", str(LOOP_JSON), "--assoc", "2", "--sets", "1", "--block-size", "8",
-                "--mode", mode, "--init", "unknown",
-            ])
+            code = main(argv)
     finally:
         tracer.uninstall()
     assert code == 0
     assert not tracer.broken
     return tracer
+
+
+def traced_analyze(tracing, mode):
+    """Run `analyze` on loop.json (k=2, unknown cache) under the tracer."""
+    return traced_main(tracing, ["analyze", *LOOP_ARGS, "--mode", mode])
 
 
 def test_traced_analysis_reports_focused_metrics(tracing):
@@ -89,3 +110,14 @@ def test_traced_ai_mc_reports_model_and_check_times(tracing):
     calls = [sp.name for sp in tracer.spans]
     assert calls.count("focused.simplify_for") == 2
     assert calls.count("focused.check_access") == 2
+
+
+def test_traced_verify_reports_oracle_metrics(tracing):
+    tracer = traced_main(tracing, ["verify", *LOOP_ARGS])
+    summary = tracer.summary(passes=1)
+    for metric in ORACLE_METRICS:
+        assert metric in summary, metric
+    config = CacheConfig(associativity=2, num_sets=1, block_size=8)
+    pg = project(load_cfg(str(LOOP_JSON), config), 0, config)
+    space = StateSpace(k=2, blocks=block_universe(pg))
+    assert summary["concrete.pairs"][0] == reference_pairs(pg, space, InitMode.UNKNOWN)
