@@ -17,12 +17,41 @@ access is neither always-hit nor always-miss but both a hit and a miss are
 shown possible, it is definitely-unknown and exact model checking would be
 wasted effort on it.
 
-States are plain int tuples aligned with the state space's blocks.  A must or
-may state is one bound per block.  An exists-hit state is its n bounds
-followed by the n must bounds it carries; an exists-miss state is its n
-bounds followed by the n carried may bounds.  The carried half equals the
-standalone must (resp. may) fixpoint, so exists-hit and exists-miss alone
-answer every question the four domains do.  None marks an unreachable vertex.
+A state is one Python int holding a row of bounds aligned with the state
+space's blocks.  A must or may state has n fields, one per block.  An
+exists-hit state has 2n: its own n bounds, then the n must bounds it carries;
+an exists-miss state likewise carries the n may bounds.  The carried half
+equals the standalone must (resp. may) fixpoint, so exists-hit and exists-miss
+alone answer every question the four domains do.  None marks an unreachable
+vertex.
+
+Layout: field j occupies bits [j*w, (j+1)*w) with w = `field_width(k)` =
+k.bit_length() + 1, so bound j of state s is `(s >> j*w) & (2**w - 1)`; the
+readers (`ai_classify`, `focused.simplify_for`) compute that shift and mask
+once per access or focus.  A bound is at most k < 2**(w-1), which leaves the
+top bit of every field, its guard bit, clear.  With L a 1 in the low bit of
+every field and H = L << (w-1) the guard bits, one subtraction compares every
+field at once:
+
+    ge = ((a | H) - b) & H
+
+has the guard bit of field j set exactly when a_j >= b_j (setting the guard
+first keeps each field's difference non-negative, so no borrow crosses into
+the next field).  b is either another state or a threshold m replicated into
+every field as m*L.
+
+* Transfer over an access to block i: the threshold m is carried field i for
+  exists-hit, must field i for must, and that bound plus one, saturating at k,
+  for may and exists-miss.  Every field below m ages by one, which is
+  `s + ((ge ^ H) >> (w-1))` with ge computed against m*L (a field below
+  m <= k stays at most k).  Then fields i and, in a paired state, n+i are
+  cleared to 0.
+* Join of old and moved: `sel = ge - (ge >> (w-1))` turns each set guard bit
+  into all the value bits of its field, marking where old >= moved.  XOR-ing a
+  per-domain constant inverts the mark on the fields that take the minimum, so
+  `moved ^ ((old ^ moved) & sel)` keeps old where sel is set: the maximum for
+  must bounds and carried must bounds, the minimum for may bounds, carried may
+  bounds, exists-hit's own bounds; exists-miss's own bounds take the maximum.
 """
 
 from __future__ import annotations
@@ -31,143 +60,53 @@ from collections import deque, namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
-from .cfg import AccessId, Adjacency, AnyCfg, adjacency
+from .cfg import AccessId, Adjacency, AnyCfg
 from .concrete import InitMode, StateSpace
 from .verdict import Verdict
 
 #: Unreachable marker usable by every domain: join identity, fixed by transfer.
 BOTTOM = None
 
-#: An abstract state: one int per block (must, may) or two (exists-hit, exists-miss).
-Bounds = tuple[int, ...]
+
+def field_width(k: int) -> int:
+    """Bits per packed bound: 0..k plus a guard bit on top."""
+    return k.bit_length() + 1
 
 
-def update_must(s: Bounds, i: int, k: int) -> Bounds:
-    """Access transfer for must bounds; `i` is the accessed block's position.
+class Domain(namedtuple("Domain", ["name", "paired", "lower"])):
+    """An abstract domain as data for the one fixpoint engine.
 
-    The accessed block gets bound 0.  Another block's bound grows by one only
-    when it is strictly below the accessed block's bound; larger or equal
-    bounds already cover the aged state.
+    `paired`: a state holds 2n fields, own bounds then carried bounds, and the
+    aging threshold is the carried bound.  `lower`: the carried (or only)
+    bounds are may-style lower bounds.  The threshold is then the bound plus
+    one, saturating at k, those fields join by minimum and an unknown cache
+    seeds them 0.  The own half of a paired state joins the other way.
     """
-    m = s[i]
-    out = [v + 1 if v < m else v for v in s]
-    out[i] = 0
-    return tuple(out)
+
+    __slots__ = ()
+
+    def seed(self, space: StateSpace, init: InitMode) -> int:
+        """The entry state: every bound k, except 0 for lower bounds of an
+        unknown cache.  Upper bounds promise nothing cached at entry, even
+        for the unknown cache: the weakest sound seed."""
+        if self.lower and init is InitMode.UNKNOWN:
+            return 0
+        w = field_width(space.k)
+        fields = 2 * len(space.blocks) if self.paired else len(space.blocks)
+        return space.k * sum(1 << j * w for j in range(fields))
 
 
-def update_may(s: Bounds, i: int, k: int) -> Bounds:
-    """Access transfer for may bounds.
+MUST = Domain("must", paired=False, lower=False)
+MAY = Domain("may", paired=False, lower=True)
+EXISTS_HIT = Domain("exists-hit", paired=True, lower=False)
+EXISTS_MISS = Domain("exists-miss", paired=True, lower=True)
 
-    The accessed block gets bound 0.  Another block's bound grows by one when
-    it does not exceed the accessed block's bound (equal cached bounds cannot
-    be realized by one state twice, so aging is still guaranteed) and is not
-    already k.
-    """
-    m = min(s[i] + 1, k)
-    out = [v + 1 if v < m else v for v in s]
-    out[i] = 0
-    return tuple(out)
-
-
-def update_eh(s: Bounds, i: int, k: int) -> Bounds:
-    """Access transfer for exists-hit bounds and their carried must bounds.
-
-    Whether the best state ages block b' depends on where the accessed block
-    can be: if its must bound is at most b's bound, some witness state keeps
-    b' unaged, otherwise every witness ages it (never past k, since the must
-    bound is at most k).  The must half ages below the same bound.
-    """
-    n = len(s) >> 1
-    m = s[n + i]
-    out = [v + 1 if v < m else v for v in s]
-    out[i] = 0
-    out[n + i] = 0
-    return tuple(out)
-
-
-def update_em(s: Bounds, i: int, k: int) -> Bounds:
-    """Access transfer for exists-miss bounds and their carried may bounds.
-
-    Mirror of the exists-hit transfer: if the accessed block's may bound is
-    strictly below b's bound, the worst state for b' need not age it;
-    otherwise it is guaranteed to age (saturating at k).  The may half ages
-    below the same bound.
-    """
-    n = len(s) >> 1
-    m = min(s[n + i] + 1, k)
-    out = [v + 1 if v < m else v for v in s]
-    out[i] = 0
-    out[n + i] = 0
-    return tuple(out)
-
-
-# Joins compare with `if`/`else` rather than map(min, ...): calling the
-# min and max builtins per element costs about twice as much.
-
-
-def join_must(s: Bounds, t: Bounds) -> Bounds:
-    return tuple([a if a > b else b for a, b in zip(s, t)])
-
-
-def join_may(s: Bounds, t: Bounds) -> Bounds:
-    return tuple([a if a < b else b for a, b in zip(s, t)])
-
-
-def join_eh(s: Bounds, t: Bounds) -> Bounds:
-    n = len(s) >> 1
-    return tuple(
-        [a if a < b else b for a, b in zip(s[:n], t[:n])]
-        + [a if a > b else b for a, b in zip(s[n:], t[n:])]
-    )
-
-
-def join_em(s: Bounds, t: Bounds) -> Bounds:
-    n = len(s) >> 1
-    return tuple(
-        [a if a > b else b for a, b in zip(s[:n], t[:n])]
-        + [a if a < b else b for a, b in zip(s[n:], t[n:])]
-    )
-
-
-def _seed_must(space: StateSpace, init: InitMode) -> Bounds:
-    # Both an empty and an unknown cache promise nothing cached.
-    return (space.k,) * len(space.blocks)
-
-
-def _seed_may(space: StateSpace, init: InitMode) -> Bounds:
-    if init is InitMode.EMPTY:
-        return (space.k,) * len(space.blocks)
-    return (0,) * len(space.blocks)
-
-
-def _seed_eh(space: StateSpace, init: InitMode) -> Bounds:
-    # No hit promised at entry, even for the unknown cache: weakest sound seed.
-    return (space.k,) * len(space.blocks) + _seed_must(space, init)
-
-
-def _seed_em(space: StateSpace, init: InitMode) -> Bounds:
-    return _seed_may(space, init) * 2
-
-
-#: An abstract domain bundled for the generic fixpoint engine.
-#: `update(s, i, k)` transfers state s over an access to block position i.
-Domain = namedtuple("Domain", ["name", "seed", "update", "join"])
-
-MUST = Domain("must", _seed_must, update_must, join_must)
-MAY = Domain("may", _seed_may, update_may, join_may)
-EXISTS_HIT = Domain("exists-hit", _seed_eh, update_eh, join_eh)
-EXISTS_MISS = Domain("exists-miss", _seed_em, update_em, join_em)
-
-#: Per-vertex fixpoint result; None at unreachable vertices.
-Fixpoint = dict[str, Optional[Bounds]]
+#: Per-vertex fixpoint result: a packed state, None at unreachable vertices.
+Fixpoint = dict[str, Optional[int]]
 
 
 def fixpoint(
-    domain: Domain,
-    g: AnyCfg,
-    space: StateSpace,
-    init: InitMode = InitMode.EMPTY,
-    adj: Optional[Adjacency] = None,
+    domain: Domain, g: AnyCfg, space: StateSpace, init: InitMode, adj: Adjacency
 ) -> Fixpoint:
     """Least fixpoint of a domain over a graph.
 
@@ -175,16 +114,37 @@ def fixpoint(
     edges apply the domain transfer, no-access edges propagate unchanged, and
     joins accumulate at edge targets.  Vertices are visited in reverse
     post-order with FIFO re-queuing, so an acyclic graph converges in one
-    sweep.  Unreachable vertices stay BOTTOM.  `adj`, the graph's adjacency
-    over `space.blocks`, is built when not given.
+    sweep.  The transfer reads the carried bound, so it is not monotone and
+    the result depends on this order.  Unreachable vertices stay BOTTOM.
+    `adj` must be `adjacency(g, space.blocks)`.
     """
-    if adj is None:
-        adj = adjacency(g, space.blocks)
+    k = space.k
+    n = len(space.blocks)
+    w = field_width(k)
+    top = w - 1
+    fmask = (1 << w) - 1
+    fields = 2 * n if domain.paired else n
+    low = sum(1 << j * w for j in range(fields))
+    guard = low << top
+    values = guard - low
+    base = n if domain.paired else 0
+    # Threshold of a transfer, replicated into every field, by the bound it reads.
+    thresh = [min(m + domain.lower, k) * low for m in range(k + 1)]
+    shift = [(base + i) * w for i in range(n)]
+    keep = []
+    for i in range(n):
+        mask = guard | values
+        for j in (i, n + i) if domain.paired else (i,):
+            mask ^= fmask << j * w
+        keep.append(mask)
+    # Fields joined by minimum: every field of lower bounds, then a paired
+    # domain's own half (the first n fields) flips to the other side.
+    own = sum(1 << j * w for j in range(n)) * (fmask >> 1)
+    flip = (values if domain.lower else 0) ^ (own if domain.paired else 0)
+
     succ = adj.succ
-    update, join, k = domain.update, domain.join, space.k
     state: Fixpoint = dict.fromkeys(g.vertices)
     state[g.entry] = domain.seed(space, init)
-
     work = deque(adj.order)
     queued = set(adj.order)
     while work:
@@ -194,12 +154,17 @@ def fixpoint(
         if src is None:
             continue
         for dst, i in succ[v]:
-            moved = src if i < 0 else update(src, i, k)
+            if i < 0:
+                moved = src
+            else:
+                ge = ((src | guard) - thresh[(src >> shift[i]) & fmask]) & guard
+                moved = (src + ((ge ^ guard) >> top)) & keep[i]
             old = state[dst]
             if old is not None:
                 if moved == old:
                     continue
-                moved = join(old, moved)
+                ge = ((old | guard) - moved) & guard
+                moved ^= (old ^ moved) & ((ge - (ge >> top)) ^ flip)
                 if moved == old:
                     continue
             state[dst] = moved
@@ -209,12 +174,13 @@ def fixpoint(
     return state
 
 
-def carried(fix: Fixpoint) -> Fixpoint:
+def carried(fix: Fixpoint, space: StateSpace) -> Fixpoint:
     """The carried half of an exists-hit or exists-miss fixpoint, per vertex.
 
     That is the must (resp. may) fixpoint of the same graph.
     """
-    return {v: None if s is None else s[len(s) >> 1:] for v, s in fix.items()}
+    shift = len(space.blocks) * field_width(space.k)
+    return {v: None if s is None else s >> shift for v, s in fix.items()}
 
 
 @dataclass(frozen=True)
@@ -246,21 +212,23 @@ def ai_classify(
     one or neither of them is available or conclusive, the access stays
     unresolved with the flags recording which existential half is settled.
     An access whose source is unreachable hits vacuously: always-hit.  `eh`
-    and `em` may be exists fixpoints, read through their first half.
+    and `em`, when given, are exists fixpoints, read through their own half.
     """
     v = access.src
-    i = space.index_of(access.block)
     k = space.k
+    w = field_width(k)
+    shift = space.index_of(access.block) * w
+    fmask = (1 << w) - 1
     must_s = must[v]
     if must_s is None:
         return AiClassification(access, Verdict.ALWAYS_HIT, False, False)
-    if must_s[i] < k:
+    if (must_s >> shift) & fmask < k:
         return AiClassification(access, Verdict.ALWAYS_HIT, True, False)
-    if may[v][i] == k:
+    if (may[v] >> shift) & fmask == k:
         return AiClassification(access, Verdict.ALWAYS_MISS, False, True)
     # must is reachable here, so every domain is: no None checks needed.
-    exists_hit = eh is not None and eh[v][i] < k
-    exists_miss = em is not None and em[v][i] == k
+    exists_hit = eh is not None and (eh[v] >> shift) & fmask < k
+    exists_miss = em is not None and (em[v] >> shift) & fmask == k
     if exists_hit and exists_miss:
         return AiClassification(access, Verdict.DEFINITELY_UNKNOWN, True, True)
     return AiClassification(access, None, exists_hit, exists_miss)

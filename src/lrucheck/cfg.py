@@ -328,9 +328,14 @@ def adjacency(g: AnyCfg, blocks: Sequence[MemoryBlock]) -> Adjacency:
     """Build the Adjacency of a graph over the block universe `blocks`."""
     adj = out_edges(g)
     position = {b: i for i, b in enumerate(blocks)}
-    succ = {
-        v: tuple((e.dst, -1 if e.block is None else position[e.block]) for e in edges)
-        for v, edges in adj.items()
-    }
-    accessing = frozenset(e.src for e in g.edges if e.block is not None)
-    return Adjacency(succ=succ, order=tuple(reverse_post_order(g, adj)), accessing=accessing)
+    succ = {}
+    accessing = []
+    for v, edges in adj.items():
+        succ[v] = tuple([(e.dst, -1 if e.block is None else position[e.block]) for e in edges])
+        for e in edges:
+            if e.block is not None:
+                accessing.append(v)
+                break
+    return Adjacency(
+        succ=succ, order=tuple(reverse_post_order(g, adj)), accessing=frozenset(accessing)
+    )

@@ -241,7 +241,7 @@ def abstract_phase(
     else:
         eh = fixpoint(EXISTS_HIT, pg, space, init, adj)
         em = fixpoint(EXISTS_MISS, pg, space, init, adj)
-        must, may = carried(eh), carried(em)
+        must, may = carried(eh, space), carried(em, space)
     residual = []
     for a in accesses:
         c = ai_classify(space, a, must, may, eh, em)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .cfg import AccessId, Adjacency, Edge, MemoryBlock, ProjectedCfg
-from .ai import Fixpoint
+from .ai import Fixpoint, field_width
 from .concrete import InitMode, StateSpace
 from .verdict import Verdict
 
@@ -177,15 +177,18 @@ def simplify_for(
     unreachable vertices (BOTTOM in the may fixpoint) are relabeled too; no
     state ever reaches them.
 
-    `adj` must be `adjacency(g, space.blocks)`.
+    `may_fix` holds packed may states (see `ai`).  `adj` must be
+    `adjacency(g, space.blocks)`.
     """
     k = space.k
     focus_i = space.index_of(focus)
+    width = field_width(k)
+    shift, fmask = focus_i * width, (1 << width) - 1
 
     succ = dict(adj.succ)
     for v in adj.accessing:
         s = may_fix[v]
-        if s is None or s[focus_i] >= k:
+        if s is None or (s >> shift) & fmask >= k:
             succ[v] = tuple([(w, i if i == focus_i else -1) for w, i in succ[v]])
     return FocusedModel(graph=g, focus=focus, k=k, blocks=space.blocks, succ=succ)
 

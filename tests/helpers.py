@@ -3,7 +3,9 @@
 The age-vector functions are the specification of the concrete LRU
 semantics: a state gives every block of a `StateSpace` its age, k meaning
 "not cached".  The oracle (`concrete.collecting_semantics`) is tested against
-them.  The gamma_* functions are independent re-statements of what each
+them.  The update_*/join_* functions and `reference_fixpoint` state the four
+abstract domains over bound tuples; the packed fixpoint (`ai.fixpoint`) is
+tested against them.  The gamma_* functions are independent re-statements of what each
 abstract domain's states mean in terms of concrete states, and
 `alpha_focus`/`update_focus` state the focused abstraction over frozensets.
 Tests check the production code against these by enumeration, so the two
@@ -14,8 +16,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
+from collections import deque, namedtuple
 
+from lrucheck.ai import fixpoint
 from lrucheck.cfg import (
     CacheConfig,
     Cfg,
@@ -97,6 +100,11 @@ def raw_model(pg, focus, k):
     """`unsimplified_model` over the projection's own state space and successor table."""
     space = StateSpace(k=k, blocks=block_universe(pg))
     return unsimplified_model(pg, focus, space, adjacency(pg, space.blocks))
+
+
+def solve(domain, pg, space, init=InitMode.EMPTY):
+    """`ai.fixpoint` of `domain`, with the successor table built here."""
+    return fixpoint(domain, pg, space, init, adjacency(pg, space.blocks))
 
 
 def pruned_model(pg, focus, may, space):
@@ -206,6 +214,191 @@ def reference_collecting(g, space, init):
                     reach[e.dst] |= image
                     changed = True
     return {v: frozenset(states) for v, states in reach.items()}
+
+
+# --- abstract domains: the tuple specification ---------------------------------
+#
+# A spec state is a tuple of bounds aligned with `space.blocks`: one per block
+# for must and may; for exists-hit and exists-miss its own n bounds followed
+# by the n must (resp. may) bounds it carries.  `lrucheck.ai` packs the same
+# row into one int: `pack` and `unpack` convert.
+
+
+def field_bits(k):
+    """The documented field width of a packed state: 0..k plus a guard bit."""
+    return k.bit_length() + 1
+
+
+def pack(bounds, k):
+    """The packed int of a bound row (field j holds bounds[j])."""
+    w = field_bits(k)
+    return sum(b << j * w for j, b in enumerate(bounds))
+
+
+def unpack(state, fields, k):
+    """The bound row of a packed state with `fields` fields; None stays None."""
+    if state is None:
+        return None
+    w = field_bits(k)
+    return tuple((state >> j * w) & ((1 << w) - 1) for j in range(fields))
+
+
+def unpack_fixpoint(domain, fix, space):
+    """A packed fixpoint of `domain` over `space` with every state unpacked."""
+    fields = len(space.blocks) * (2 if domain.paired else 1)
+    return {v: unpack(s, fields, space.k) for v, s in fix.items()}
+
+
+def update_must(s, i, k):
+    """Access transfer for must bounds; `i` is the accessed block's position.
+
+    The accessed block gets bound 0.  Another block's bound grows by one only
+    when it is strictly below the accessed block's bound; larger or equal
+    bounds already cover the aged state.
+    """
+    m = s[i]
+    out = [v + 1 if v < m else v for v in s]
+    out[i] = 0
+    return tuple(out)
+
+
+def update_may(s, i, k):
+    """Access transfer for may bounds.
+
+    The accessed block gets bound 0.  Another block's bound grows by one when
+    it does not exceed the accessed block's bound (equal cached bounds cannot
+    be realized by one state twice, so aging is still guaranteed) and is not
+    already k.
+    """
+    m = min(s[i] + 1, k)
+    out = [v + 1 if v < m else v for v in s]
+    out[i] = 0
+    return tuple(out)
+
+
+def update_eh(s, i, k):
+    """Access transfer for exists-hit bounds and their carried must bounds.
+
+    Whether the best state ages block b' depends on where the accessed block
+    can be: if its must bound is at most b's bound, some witness state keeps
+    b' unaged, otherwise every witness ages it (never past k, since the must
+    bound is at most k).  The must half ages below the same bound.
+    """
+    n = len(s) >> 1
+    m = s[n + i]
+    out = [v + 1 if v < m else v for v in s]
+    out[i] = 0
+    out[n + i] = 0
+    return tuple(out)
+
+
+def update_em(s, i, k):
+    """Access transfer for exists-miss bounds and their carried may bounds.
+
+    Mirror of the exists-hit transfer: if the accessed block's may bound is
+    strictly below b's bound, the worst state for b' need not age it;
+    otherwise it is guaranteed to age (saturating at k).  The may half ages
+    below the same bound.
+    """
+    n = len(s) >> 1
+    m = min(s[n + i] + 1, k)
+    out = [v + 1 if v < m else v for v in s]
+    out[i] = 0
+    out[n + i] = 0
+    return tuple(out)
+
+
+def join_must(s, t):
+    return tuple(max(a, b) for a, b in zip(s, t))
+
+
+def join_may(s, t):
+    return tuple(min(a, b) for a, b in zip(s, t))
+
+
+def join_eh(s, t):
+    n = len(s) >> 1
+    return join_may(s[:n], t[:n]) + join_must(s[n:], t[n:])
+
+
+def join_em(s, t):
+    n = len(s) >> 1
+    return join_must(s[:n], t[:n]) + join_may(s[n:], t[n:])
+
+
+def seed_must(space, init):
+    # Both an empty and an unknown cache promise nothing cached.
+    return (space.k,) * len(space.blocks)
+
+
+def seed_may(space, init):
+    if init is InitMode.EMPTY:
+        return (space.k,) * len(space.blocks)
+    return (0,) * len(space.blocks)
+
+
+def seed_eh(space, init):
+    # No hit promised at entry, even for the unknown cache: weakest sound seed.
+    return (space.k,) * len(space.blocks) + seed_must(space, init)
+
+
+def seed_em(space, init):
+    return seed_may(space, init) * 2
+
+
+#: A domain of the spec: `update(s, i, k)` transfers state s over an access to
+#: block position i.
+SpecDomain = namedtuple("SpecDomain", ["name", "seed", "update", "join"])
+
+SPEC = {
+    d.name: d
+    for d in (
+        SpecDomain("must", seed_must, update_must, join_must),
+        SpecDomain("may", seed_may, update_may, join_may),
+        SpecDomain("exists-hit", seed_eh, update_eh, join_eh),
+        SpecDomain("exists-miss", seed_em, update_em, join_em),
+    )
+}
+
+
+def spec_carried(fix):
+    """The carried half of a spec exists-hit or exists-miss fixpoint, per vertex."""
+    return {v: None if s is None else s[len(s) >> 1:] for v, s in fix.items()}
+
+
+def reference_fixpoint(domain, g, space, init):
+    """A spec domain's fixpoint, visiting vertices exactly as `ai.fixpoint` does.
+
+    Entry starts at the seed, every other vertex at None; reverse post-order
+    with FIFO re-queuing, successors in edge order, the join applied as
+    join(old, moved).  The exists transfers are not monotone, so the order is
+    part of the specification.
+    """
+    adj = adjacency(g, space.blocks)
+    state = dict.fromkeys(g.vertices)
+    state[g.entry] = domain.seed(space, init)
+    work = deque(adj.order)
+    queued = set(adj.order)
+    while work:
+        v = work.popleft()
+        queued.discard(v)
+        src = state[v]
+        if src is None:
+            continue
+        for dst, i in adj.succ[v]:
+            moved = src if i < 0 else domain.update(src, i, space.k)
+            old = state[dst]
+            if old is not None:
+                if moved == old:
+                    continue
+                moved = domain.join(old, moved)
+                if moved == old:
+                    continue
+            state[dst] = moved
+            if dst not in queued:
+                queued.add(dst)
+                work.append(dst)
+    return state
 
 
 # --- abstract-domain meanings --------------------------------------------------
@@ -369,7 +562,7 @@ def reference_simplified_edges(pg, focus, may, k, space):
 
     An access to a block other than the focus becomes a no-access edge when
     its source is unreachable or proves the focus uncached; no-access
-    self-loops are dropped.
+    self-loops are dropped.  `may` is an unpacked may fixpoint.
     """
     fi = space.blocks.index(focus)
     out = []

@@ -23,25 +23,21 @@ from helpers import (
     alpha_focus,
     cfg_text,
     decoded_states,
+    join_eh,
+    join_em,
     loop_cfg,
     raw_model,
     small_config,
+    solve,
     space_for,
     straightline_cfg,
+    unpack_fixpoint,
     update,
-    update_focus,
-)
-from lrucheck.ai import (
-    EXISTS_HIT,
-    EXISTS_MISS,
-    MAY,
-    MUST,
-    fixpoint,
-    join_eh,
-    join_em,
     update_eh,
     update_em,
+    update_focus,
 )
+from lrucheck.ai import EXISTS_HIT, EXISTS_MISS, MAY, MUST
 from lrucheck.bench import GenSpec, generate
 from lrucheck.cfg import CacheConfig, block_universe, project
 from lrucheck.classify import Mode, Provenance, classify_all, verify_against_oracle
@@ -113,10 +109,8 @@ def test_check_1_loop_fixpoint_tables():
         pg = project(g, 0, config)
         space = StateSpace(k=k, blocks=block_universe(pg))
         fixes = {
-            "must": fixpoint(MUST, pg, space, InitMode.EMPTY),
-            "may": fixpoint(MAY, pg, space, InitMode.EMPTY),
-            "eh": fixpoint(EXISTS_HIT, pg, space, InitMode.EMPTY),
-            "em": fixpoint(EXISTS_MISS, pg, space, InitMode.EMPTY),
+            name: unpack_fixpoint(d, solve(d, pg, space), space)
+            for name, d in (("must", MUST), ("may", MAY), ("eh", EXISTS_HIT), ("em", EXISTS_MISS))
         }
         digit = {"k": k, "0": 0, "1": 1}
         for v, table in expected.items():

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    SPEC,
+    SpecDomain,
     all_bounds,
     all_states,
     build_cfg,
@@ -14,11 +19,24 @@ from helpers import (
     eh_holds,
     gamma_may,
     gamma_must,
+    join_eh,
+    join_em,
+    join_may,
+    join_must,
     loop_cfg,
     nonempty_subsets,
+    pack,
+    reference_fixpoint,
     small_config,
+    solve,
     space_for,
+    spec_carried,
+    unpack_fixpoint,
     update,
+    update_eh,
+    update_em,
+    update_may,
+    update_must,
 )
 from lrucheck.ai import (
     BOTTOM,
@@ -30,19 +48,13 @@ from lrucheck.ai import (
     ai_classify,
     carried,
     fixpoint,
-    join_eh,
-    join_em,
-    join_may,
-    join_must,
-    update_eh,
-    update_em,
-    update_may,
-    update_must,
 )
 from lrucheck.bench import GenSpec, generate
-from lrucheck.cfg import CacheConfig, accesses_of, block_universe, project
+from lrucheck.cfg import Cfg, CacheConfig, Edge, accesses_of, adjacency, block_universe, project
 from lrucheck.concrete import InitMode, StateSpace
 from lrucheck.verdict import Verdict
+
+DOMAINS = (MUST, MAY, EXISTS_HIT, EXISTS_MISS)
 
 
 def halves(s):
@@ -52,17 +64,21 @@ def halves(s):
 
 
 def loop_fixpoints(k):
+    """The loop program's packed fixpoints, by domain name."""
     config = small_config(k=k)
     pg = project(loop_cfg(config), 0, config)
     space = StateSpace(k=k, blocks=block_universe(pg))
-    return space, {
-        d.name: fixpoint(d, pg, space) for d in (MUST, MAY, EXISTS_HIT, EXISTS_MISS)
-    }
+    return space, {d.name: solve(d, pg, space) for d in DOMAINS}
+
+
+def unpacked_loop_fixpoints(k):
+    space, fp = loop_fixpoints(k)
+    return space, {d.name: unpack_fixpoint(d, fp[d.name], space) for d in DOMAINS}
 
 
 @pytest.mark.parametrize("k", [2, 4])
 def test_loop_fixpoint_golden(k):
-    space, fp = loop_fixpoints(k)
+    space, fp = unpacked_loop_fixpoints(k)
     expected = {
         # vertex: (must, may, exists-hit, exists-miss) bounds for (v, w)
         "a": ((k, k), (k, k), (k, k), (k, k)),
@@ -91,10 +107,9 @@ def test_loop_classification_definitely_unknown():
 
 
 def test_eh_component_tracks_must_and_em_tracks_may():
-    space, fp = loop_fixpoints(2)
-    for v in fp["must"]:
-        assert halves(fp["exists-hit"][v])[1] == fp["must"][v]
-        assert halves(fp["exists-miss"][v])[1] == fp["may"][v]
+    space, fp = unpacked_loop_fixpoints(2)
+    assert spec_carried(fp["exists-hit"]) == fp["must"]
+    assert spec_carried(fp["exists-miss"]) == fp["may"]
 
 
 @given(st.integers(0, 60))
@@ -105,10 +120,7 @@ def test_existential_bounds_bracket_universal_bounds(seed):
     pg = project(g, 0, config)
     space = StateSpace(k=config.associativity, blocks=block_universe(pg))
     for init in InitMode:
-        must = fixpoint(MUST, pg, space, init)
-        may = fixpoint(MAY, pg, space, init)
-        eh = fixpoint(EXISTS_HIT, pg, space, init)
-        em = fixpoint(EXISTS_MISS, pg, space, init)
+        must, may, eh, em = (unpack_fixpoint(d, solve(d, pg, space, init), space) for d in DOMAINS)
         for v in pg.vertices:
             if must[v] is BOTTOM:
                 assert may[v] is BOTTOM and eh[v] is BOTTOM and em[v] is BOTTOM
@@ -135,10 +147,10 @@ def test_exists_fixpoints_carry_must_and_may(init):
         for s in range(config.num_sets):
             pg = project(g, s, config)
             space = StateSpace(k=config.associativity, blocks=block_universe(pg))
-            eh = fixpoint(EXISTS_HIT, pg, space, init)
-            em = fixpoint(EXISTS_MISS, pg, space, init)
-            assert carried(eh) == fixpoint(MUST, pg, space, init), (name, s)
-            assert carried(em) == fixpoint(MAY, pg, space, init), (name, s)
+            eh = solve(EXISTS_HIT, pg, space, init)
+            em = solve(EXISTS_MISS, pg, space, init)
+            assert carried(eh, space) == solve(MUST, pg, space, init), (name, s)
+            assert carried(em, space) == solve(MAY, pg, space, init), (name, s)
 
 
 # --- transfer soundness against the concrete semantics ------------------------
@@ -302,6 +314,18 @@ def test_join_algebra(a, b, c):
 # --- fixpoint engine -----------------------------------------------------------
 
 
+class CountingRows(dict):
+    """A successor table that counts how often each row is read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = []
+
+    def __getitem__(self, v):
+        self.reads.append(v)
+        return super().__getitem__(v)
+
+
 def test_fixpoint_single_sweep_on_dag(k2_config, straight2):
     calls = []
 
@@ -309,36 +333,40 @@ def test_fixpoint_single_sweep_on_dag(k2_config, straight2):
         calls.append(i)
         return update_must(s, i, k)
 
-    dom = Domain("counting", MUST.seed, counting_update, MUST.join)
-    pg = project(straight2, 0, k2_config)
-    space = StateSpace(k=2, blocks=block_universe(pg))
-    fixpoint(dom, pg, space)
-    assert len(calls) == 5
-
-    calls.clear()
+    dom = SpecDomain("counting", SPEC["must"].seed, counting_update, join_must)
     diamond = build_cfg(
         "a", ["a", "l", "r", "m", "z"],
         [("a", "l", 0), ("a", "r", 8), ("l", "m", None), ("r", "m", 16),
          ("m", "z", 0)],
         k2_config,
     )
-    pg = project(diamond, 0, k2_config)
-    space = StateSpace(k=2, blocks=block_universe(pg))
-    fixpoint(dom, pg, space)
-    assert len(calls) == 4
+    for g, transfers in ((straight2, 5), (diamond, 4)):
+        calls.clear()
+        pg = project(g, 0, k2_config)
+        space = StateSpace(k=2, blocks=block_universe(pg))
+        reference_fixpoint(dom, pg, space, InitMode.EMPTY)
+        assert len(calls) == transfers
+        # The packed engine visits every vertex once: each successor row is
+        # read once.
+        adj = adjacency(pg, space.blocks)
+        rows = CountingRows(adj.succ)
+        for d in DOMAINS:
+            rows.reads.clear()
+            fixpoint(d, pg, space, InitMode.EMPTY, replace(adj, succ=rows))
+            assert sorted(rows.reads) == sorted(pg.vertices), d.name
 
 
 def test_fixpoint_entry_and_unreachable(k2_config):
     g = build_cfg("a", ["a", "b", "dead"], [("a", "b", 0), ("dead", "b", 8)], k2_config)
     pg = project(g, 0, k2_config)
     space = StateSpace(k=2, blocks=block_universe(pg))
-    fp = fixpoint(MUST, pg, space)
+    fp = solve(MUST, pg, space)
     assert fp["dead"] is BOTTOM
     assert fp["a"] == MUST.seed(space, InitMode.EMPTY)
 
 
 def test_bottom_is_a_singleton():
-    # BOTTOM is None: one shared marker, distinct from every state tuple.
+    # BOTTOM is None: one shared marker, distinct from every packed state.
     assert BOTTOM is None
 
 
@@ -348,7 +376,7 @@ def test_bottom_is_a_singleton():
 def all_fixpoints(g, config, init=InitMode.EMPTY):
     pg = project(g, 0, config)
     space = StateSpace(k=config.associativity, blocks=block_universe(pg))
-    fps = [fixpoint(d, pg, space, init) for d in (MUST, MAY, EXISTS_HIT, EXISTS_MISS)]
+    fps = [solve(d, pg, space, init) for d in DOMAINS]
     return pg, space, fps
 
 
@@ -376,8 +404,8 @@ def test_classify_unreachable_source_vacuous_hit(k2_config):
 def test_classify_without_existential_domains(k2_config, loop2):
     pg = project(loop2, 0, k2_config)
     space = StateSpace(k=2, blocks=block_universe(pg))
-    must = fixpoint(MUST, pg, space)
-    may = fixpoint(MAY, pg, space)
+    must = solve(MUST, pg, space)
+    may = solve(MAY, pg, space)
     for a in accesses_of(pg):
         c = ai_classify(space, a, must, may)
         assert c.verdict is None
@@ -426,3 +454,128 @@ def test_classify_residual_exists_miss_only(k2_config):
     c = ai_classify(space, query, must, may, eh, em)
     assert c.verdict is None
     assert (c.exists_hit, c.exists_miss) == (False, True)
+
+
+# --- packed states against the tuple specification -----------------------------
+
+
+def seeded(domain, state):
+    """`domain` with its entry state replaced by the packed `state`."""
+
+    class Seeded(Domain):
+        __slots__ = ()
+
+        def seed(self, space, init):
+            return state
+
+    return Seeded(*domain)
+
+
+@functools.lru_cache(maxsize=None)
+def edge_graph(n, k, accesses):
+    """Entry e with one edge to t per access position (-1: no access), in
+    order, over n blocks; with its state space and successor table."""
+    space = space_for(n, k)
+    edges = tuple(Edge("e", None if i < 0 else space.blocks[i], "t") for i in accesses)
+    g = Cfg(entry="e", vertices=("e", "t"), edges=edges)
+    return g, space, adjacency(g, space.blocks)
+
+
+def packed_at_t(domain, n, k, s, accesses):
+    """Run the packed engine from spec state `s` over `edge_graph`; unpacked at t."""
+    g, space, adj = edge_graph(n, k, tuple(accesses))
+    fix = fixpoint(seeded(domain, pack(s, k)), g, space, InitMode.EMPTY, adj)
+    return unpack_fixpoint(domain, fix, space)["t"]
+
+
+def spec_at_t(domain, s, accesses, k):
+    """The spec's state at t: each edge's image of s, joined in edge order."""
+    spec = SPEC[domain.name]
+    images = [s if i < 0 else spec.update(s, i, k) for i in accesses]
+    out = images[0]
+    for moved in images[1:]:
+        out = spec.join(out, moved)
+    return out
+
+
+def check_state(domain, k, s, both_orders=True):
+    """Packed equals spec on `s`: every transfer (one edge) and every join of
+    two edge images (two edges, no-access included), in both edge orders
+    unless `both_orders` is false."""
+    n = len(s) // 2 if domain.paired else len(s)
+    for i in range(n):
+        assert packed_at_t(domain, n, k, s, [i]) == spec_at_t(domain, s, [i], k), (s, i)
+    for i in range(-1, n):
+        for j in range(-1 if both_orders else i + 1, n):
+            want = spec_at_t(domain, s, [i, j], k)
+            assert packed_at_t(domain, n, k, s, [i, j]) == want, (s, i, j)
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.name)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_packed_matches_spec_exhaustive(domain, k):
+    # Every state of up to 4 fields: n <= 4 blocks, n <= 2 for paired domains.
+    for fields in range(2 if domain.paired else 1, 5, 2 if domain.paired else 1):
+        for s in all_bounds(fields, k):
+            check_state(domain, k, s, both_orders=False)
+
+
+@st.composite
+def packed_cases(draw, max_k):
+    domain = draw(st.sampled_from(DOMAINS))
+    k = draw(st.integers(1, max_k))
+    n = draw(st.integers(1, 5))
+    fields = 2 * n if domain.paired else n
+    s = tuple(draw(st.lists(st.integers(0, k), min_size=fields, max_size=fields)))
+    return domain, k, s
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(packed_cases(max_k=4))
+def test_packed_matches_spec_up_to_five_blocks(case):
+    check_state(*case)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(packed_cases(max_k=16))
+def test_packed_matches_spec_wide_fields(case):
+    # k up to 16: fields of up to 6 bits, whose guard bit sits at bit 5.
+    check_state(*case)
+
+
+def test_packed_k16_saturates_without_borrow():
+    # Bounds at k and 0 side by side, in both halves, at the widest field.
+    k = 16
+    for domain in DOMAINS:
+        n = 5
+        fields = 2 * n if domain.paired else n
+        for s in [(k,) * fields, (0,) * fields, tuple((k, 0)[j % 2] for j in range(fields)),
+                  tuple((k - 1, 1, k)[j % 3] for j in range(fields))]:
+            check_state(domain, k, s)
+
+
+def fixpoint_programs():
+    """Corpus programs at 1, 2, 4 and 8 sets, plus four 120-vertex loop programs."""
+    programs = []
+    for sets, base in ((1, 900), (2, 920), (4, 940), (8, 960)):
+        programs += corpus_programs(12, base_seed=base, sets=sets)
+    config = CacheConfig(associativity=4, num_sets=2, block_size=8)
+    for seed in range(4):
+        spec = GenSpec(vertices=120, loops=12, depth=3, blocks=12, seed=seed)
+        programs.append((f"loops{seed}", config, generate(spec, config)))
+    return programs
+
+
+@pytest.mark.parametrize("init", list(InitMode), ids=str)
+def test_packed_fixpoint_equals_reference(init):
+    # Same states at every vertex, for every domain: the packed engine keeps
+    # the reference's visit order, which the non-monotone exists transfers
+    # depend on.
+    for name, config, g in fixpoint_programs():
+        for s in range(config.num_sets):
+            pg = project(g, s, config)
+            space = StateSpace(k=config.associativity, blocks=block_universe(pg))
+            adj = adjacency(pg, space.blocks)
+            for d in DOMAINS:
+                got = unpack_fixpoint(d, fixpoint(d, pg, space, init, adj), space)
+                assert got == reference_fixpoint(SPEC[d.name], pg, space, init), (name, s, d.name)

@@ -25,11 +25,13 @@ from helpers import (
     reference_seeds,
     reference_simplified_edges,
     small_config,
+    solve,
     space_for,
+    unpack_fixpoint,
     update,
     update_focus,
 )
-from lrucheck.ai import MAY, fixpoint
+from lrucheck.ai import MAY
 from lrucheck.bench import GenSpec, generate
 from lrucheck.cfg import AccessId, CacheConfig, MemoryBlock, accesses_of, block_universe, project
 from lrucheck.classify import Mode, abstract_phase
@@ -182,7 +184,8 @@ def test_mask_search_matches_reference_search(init):
                 for focus in space.blocks:
                     model = analysis.model(focus, simplified)
                     if simplified:
-                        edges = reference_simplified_edges(pg, focus, analysis.may, k, space)
+                        may = unpack_fixpoint(MAY, analysis.may, space)
+                        edges = reference_simplified_edges(pg, focus, may, k, space)
                     else:
                         edges = list(pg.edges)
                     assert model.edges() == edges, (name, s, focus)
@@ -218,7 +221,7 @@ def straight_model(k2_config, straight2, simplified):
     if not simplified:
         return pg, raw_model(pg, focus, 2)
     space = StateSpace(k=2, blocks=block_universe(pg))
-    may = fixpoint(MAY, pg, space)
+    may = solve(MAY, pg, space)
     return pg, pruned_model(pg, focus, may, space)
 
 
@@ -262,7 +265,7 @@ def test_simplify_drops_new_noaccess_selfloops(k2_config):
     )
     pg = project(g, 0, k2_config)
     space = StateSpace(k=2, blocks=block_universe(pg))
-    may = fixpoint(MAY, pg, space)
+    may = solve(MAY, pg, space)
     focus = space.blocks[0]
     model = pruned_model(pg, focus, may, space)
     pairs = [(e.src, e.dst, e.block) for e in model.edges()]
@@ -277,7 +280,7 @@ def test_simplify_handles_unreachable_vertices(k2_config):
     )
     pg = project(g, 0, k2_config)
     space = StateSpace(k=2, blocks=block_universe(pg))
-    may = fixpoint(MAY, pg, space)
+    may = solve(MAY, pg, space)
     model = pruned_model(pg, space.blocks[0], may, space)
     assert model.universe == (space.blocks[1],)
     dead_edge = [e for e in model.edges() if e.src == "dead"][0]

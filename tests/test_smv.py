@@ -15,10 +15,11 @@ from helpers import (
     pruned_model,
     raw_model,
     small_config,
+    solve,
 )
 from smv_eval import all_assignments, analyze, eval_expr, parse_module
 from test_ai import exists_miss_only_cfg
-from lrucheck.ai import MAY, fixpoint
+from lrucheck.ai import MAY
 from lrucheck.cfg import MemoryBlock, accesses_of, block_universe, project
 from lrucheck.concrete import InitMode, StateSpace
 from lrucheck.focused import (
@@ -36,7 +37,7 @@ def build_model(g, config, focus_index, simplified, init):
     k = config.associativity
     if simplified:
         space = StateSpace(k=k, blocks=universe)
-        may = fixpoint(MAY, pg, space, init)
+        may = solve(MAY, pg, space, init)
         return pg, pruned_model(pg, focus, may, space)
     return pg, raw_model(pg, focus, k)
 

@@ -6,7 +6,9 @@ out of the traced summary.  These tests run the extractors on real return
 values, and whole traced runs, so a refactor of the focused search or the
 oracle cannot drop `focused.states`, `focused.universe_mean`,
 `focused.init_states`, `focused.model_s`, `focused.check_s`,
-`concrete.reach_s`, `concrete.classify_s` or `concrete.pairs` unnoticed.
+`concrete.reach_s`, `concrete.classify_s` or `concrete.pairs` unnoticed, and
+a refactor of the abstract phase cannot drop the per-domain fixpoint times
+(split by `Domain.name`), `ai.classify_s` or `ai.settled_share`.
 Every name the tracer wraps must still resolve: a renamed function would
 otherwise drop its metrics without an error.
 """
@@ -121,3 +123,22 @@ def test_traced_verify_reports_oracle_metrics(tracing):
     pg = project(load_cfg(str(LOOP_JSON), config), 0, config)
     space = StateSpace(k=2, blocks=block_universe(pg))
     assert summary["concrete.pairs"][0] == reference_pairs(pg, space, InitMode.UNKNOWN)
+
+
+@pytest.mark.parametrize(
+    "mode, domains",
+    [("ai+mc", ("exists-hit", "exists-miss")), ("ai+mc-no-du", ("must", "may"))],
+)
+def test_traced_abstract_phase_reports_domain_metrics(tracing, mode, domains):
+    tracer = traced_analyze(tracing, mode)
+    summary = tracer.summary(passes=1)
+    fixpoints = [sp.name for sp in tracer.spans if sp.name.startswith("ai.fixpoint")]
+    assert sorted(fixpoints) == sorted(f"ai.fixpoint.{d}" for d in domains)
+    for d in domains:
+        assert f"ai.fixpoint.{d}_s" in summary, d
+    assert summary["ai.fixpoint_calls"][0] == 2
+    classified = [sp for sp in tracer.spans if sp.name == "ai.ai_classify"]
+    assert len(classified) == 2
+    assert "ai.classify_s" in summary
+    settled = sum(sp.counts["settled"] for sp in classified)
+    assert summary["ai.settled_share"][0] == settled / 2
