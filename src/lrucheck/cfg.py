@@ -141,20 +141,16 @@ _TOP_LEVEL_KEYS = {"entry", "vertices", "edges", "name"}
 _EDGE_KEYS = {"from", "to", "access"}
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise CfgParseError(message)
-
-
 def parse_cfg(text: str, config: CacheConfig, name: str = "cfg") -> Cfg:
     """Parse CFG JSON into a Cfg, resolving access addresses to memory blocks.
 
     The document is an object with keys `entry` (vertex name), `vertices`
     (array of distinct names), `edges` (array of `{from, to, access}` where
     `access` is a byte address or null) and optional `name`.  Unknown keys are
-    rejected.  Syntax errors carry the offending position.
+    rejected.  Syntax errors carry the offending position.  Each check builds
+    its message only when it fails.
     """
-    if text.startswith("﻿"):
+    if text.startswith("\ufeff"):
         raise CfgParseError("byte order mark not allowed; input must be plain UTF-8")
     try:
         doc = json.loads(text)
@@ -163,49 +159,66 @@ def parse_cfg(text: str, config: CacheConfig, name: str = "cfg") -> Cfg:
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
 
-    _require(isinstance(doc, dict), "top-level value must be an object")
+    if not isinstance(doc, dict):
+        raise CfgParseError("top-level value must be an object")
     unknown = set(doc) - _TOP_LEVEL_KEYS
-    _require(not unknown, f"unknown top-level fields: {sorted(unknown)}")
+    if unknown:
+        raise CfgParseError(f"unknown top-level fields: {sorted(unknown)}")
     for key in ("entry", "vertices", "edges"):
-        _require(key in doc, f"missing required field {key!r}")
+        if key not in doc:
+            raise CfgParseError(f"missing required field {key!r}")
 
     if "name" in doc:
-        _require(isinstance(doc["name"], str) and doc["name"], "name must be a non-empty string")
+        if not (isinstance(doc["name"], str) and doc["name"]):
+            raise CfgParseError("name must be a non-empty string")
         name = doc["name"]
 
     raw_vertices = doc["vertices"]
-    _require(isinstance(raw_vertices, list) and raw_vertices, "vertices must be a non-empty array")
+    if not (isinstance(raw_vertices, list) and raw_vertices):
+        raise CfgParseError("vertices must be a non-empty array")
     seen: set[str] = set()
     for v in raw_vertices:
-        _require(isinstance(v, str) and v, f"vertex names must be non-empty strings, got {v!r}")
-        _require(v not in seen, f"duplicate vertex {v!r}")
+        if not (isinstance(v, str) and v):
+            raise CfgParseError(f"vertex names must be non-empty strings, got {v!r}")
+        if v in seen:
+            raise CfgParseError(f"duplicate vertex {v!r}")
         seen.add(v)
     vertices = tuple(raw_vertices)
 
     entry = doc["entry"]
-    _require(isinstance(entry, str), "entry must be a string")
-    _require(entry in seen, f"entry {entry!r} is not a declared vertex")
+    if not isinstance(entry, str):
+        raise CfgParseError("entry must be a string")
+    if entry not in seen:
+        raise CfgParseError(f"entry {entry!r} is not a declared vertex")
 
     raw_edges = doc["edges"]
-    _require(isinstance(raw_edges, list), "edges must be an array")
+    if not isinstance(raw_edges, list):
+        raise CfgParseError("edges must be an array")
     edges: list[Edge] = []
     for i, raw in enumerate(raw_edges):
-        _require(isinstance(raw, dict), f"edge {i}: must be an object")
-        unknown = set(raw) - _EDGE_KEYS
-        _require(not unknown, f"edge {i}: unknown fields: {sorted(unknown)}")
+        if not isinstance(raw, dict):
+            raise CfgParseError(f"edge {i}: must be an object")
+        unknown = raw.keys() - _EDGE_KEYS
+        if unknown:
+            raise CfgParseError(f"edge {i}: unknown fields: {sorted(unknown)}")
         for key in ("from", "to", "access"):
-            _require(key in raw, f"edge {i}: missing field {key!r}")
+            if key not in raw:
+                raise CfgParseError(f"edge {i}: missing field {key!r}")
         src, dst, access = raw["from"], raw["to"], raw["access"]
-        _require(isinstance(src, str), f"edge {i}: 'from' must be a string")
-        _require(isinstance(dst, str), f"edge {i}: 'to' must be a string")
-        _require(src in seen, f"edge {i}: 'from' names undeclared vertex {src!r}")
-        _require(dst in seen, f"edge {i}: 'to' names undeclared vertex {dst!r}")
+        if not isinstance(src, str):
+            raise CfgParseError(f"edge {i}: 'from' must be a string")
+        if not isinstance(dst, str):
+            raise CfgParseError(f"edge {i}: 'to' must be a string")
+        if src not in seen:
+            raise CfgParseError(f"edge {i}: 'from' names undeclared vertex {src!r}")
+        if dst not in seen:
+            raise CfgParseError(f"edge {i}: 'to' names undeclared vertex {dst!r}")
         block: Optional[MemoryBlock] = None
         if access is not None:
-            _require(
-                isinstance(access, int) and not isinstance(access, bool) and access >= 0,
-                f"edge {i}: 'access' must be null or a non-negative integer address",
-            )
+            if not (isinstance(access, int) and not isinstance(access, bool) and access >= 0):
+                raise CfgParseError(
+                    f"edge {i}: 'access' must be null or a non-negative integer address"
+                )
             block = config.block_for_address(access)
         edges.append(Edge(src, block, dst))
 
@@ -339,3 +352,53 @@ def adjacency(g: AnyCfg, blocks: Sequence[MemoryBlock]) -> Adjacency:
     return Adjacency(
         succ=succ, order=tuple(reverse_post_order(g, adj)), accessing=frozenset(accessing)
     )
+
+
+def skeleton(adj: Adjacency, entry: str) -> Adjacency:
+    """Contract a successor table to its access skeleton.
+
+    The kept vertices are `entry` and `adj.accessing`, in `adj.order`.  Every
+    edge of an unkept vertex is a no-access edge, so a chain of them passes
+    any state on unchanged.  A kept vertex's row therefore lists, for each of
+    its edges `(dst, i)` in edge order, `(w, i)` for every kept vertex w
+    reachable from dst through unkept vertices only (dst itself when it is
+    kept), the w in `order`; a pair already in the row is not repeated.
+
+    A search whose states change only on access edges, and which reads its
+    states only at access sources and the entry, finds the same states at
+    every kept vertex in the skeleton as in `adj`.
+    """
+    kept = adj.accessing | {entry}
+    order = tuple(v for v in adj.order if v in kept)
+    rank = {v: r for r, v in enumerate(order)}
+    # closure[u]: the kept vertices reachable from unkept u through unkept
+    # vertices, as a mask over ranks.  A least fixpoint; sweeping in post-order
+    # reads most successors' final closures, so only cycles need more sweeps.
+    unkept = [v for v in reversed(adj.order) if v not in kept]
+    closure = dict.fromkeys(unkept, 0)
+    changed = True
+    while changed:
+        changed = False
+        for u in unkept:
+            old = new = closure[u]
+            for w, _ in adj.succ[u]:
+                r = rank.get(w)
+                new |= closure[w] if r is None else 1 << r
+            if new != old:
+                closure[u] = new
+                changed = True
+
+    succ = {}
+    for v in order:
+        row: dict[tuple[str, int], None] = {}
+        for w, i in adj.succ[v]:
+            if w in rank:
+                row[w, i] = None
+                continue
+            m = closure[w]
+            while m:
+                low = m & -m
+                row[order[low.bit_length() - 1], i] = None
+                m ^= low
+        succ[v] = tuple(row)
+    return Adjacency(succ=succ, order=order, accessing=adj.accessing)

@@ -5,6 +5,10 @@ they cannot settle, then decide those exactly with one focused reachability
 search per remaining block.  The abstract exists-hit/exists-miss information
 both filters out accesses that are provably undecidable (no point model
 checking them) and halves the work for the rest.
+
+The abstract fixpoints run on the set's full successor table, because the
+exists domains depend on the order they visit it in.  The focused searches
+run on its access skeleton (`cfg.skeleton`), built once per set.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .cfg import (
     adjacency,
     block_universe,
     project,
+    skeleton,
 )
 from .concrete import (
     DEFAULT_ORACLE_BUDGET,
@@ -209,11 +214,14 @@ class SetAnalysis:
             by_block.setdefault(c.access.block, []).append(c)
         return {b: by_block[b] for b in sorted(by_block)}
 
-    def model(self, block: MemoryBlock, simplify: bool) -> FocusedModel:
-        """The focused model of `block`; simplified only when a may fixpoint exists."""
+    def model(self, block: MemoryBlock, simplify: bool, table: Adjacency) -> FocusedModel:
+        """The focused model of `block` over `table`, `adj` or its `cfg.skeleton`.
+
+        Simplified only when a may fixpoint exists.
+        """
         if simplify and self.may is not None:
-            return simplify_for(self.graph, block, self.may, self.space, self.adj)
-        return unsimplified_model(self.graph, block, self.space, self.adj)
+            return simplify_for(self.graph, block, self.may, self.space, table)
+        return unsimplified_model(self.graph, block, self.space, table)
 
 
 def abstract_phase(
@@ -291,8 +299,9 @@ def _classify_set(
                 c.access, pg.set_index, None, Provenance.UNRESOLVED, c.exists_hit, c.exists_miss
             )
     elif analysis.residual:
+        table = skeleton(analysis.adj, pg.entry)
         for block, group in analysis.residual_by_block().items():
-            model = analysis.model(block, simplify)
+            model = analysis.model(block, simplify, table)
             seeds = initial_focused(model.positions, k, init)
             goals = [(c.access.src, c.exists_hit, c.exists_miss) for c in group]
             reach = focused_reach(model, seeds, goals, budget=mc_budget)

@@ -187,6 +187,22 @@ def _checked(cls, **values):
         raise CfgParseError(str(exc)) from exc
 
 
+#: Options that count something and must be at least 1, with their flags.
+_POSITIVE = (
+    ("budget_mc", "--budget-mc"),
+    ("budget_oracle", "--budget-oracle"),
+    ("count", "--count"),
+)
+
+
+def _check_positive(args: argparse.Namespace) -> None:
+    """Reject a budget or count below 1 as a usage error."""
+    for dest, flag in _POSITIVE:
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            raise CfgParseError(f"{flag} must be at least 1, got {value}")
+
+
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -278,7 +294,7 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
             }
 
         for block, targets in targets_by_block.items():
-            model = analysis.model(block, simplify=not args.no_simplify)
+            model = analysis.model(block, not args.no_simplify, analysis.adj)
             text = export_smv(model, init, targets)
             path = os.path.join(args.outdir, smv_filename(g.name, s, block))
             with open(path, "w", encoding="utf-8") as fh:
@@ -423,6 +439,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from .focused import FocusedCapacityError
 
     try:
+        _check_positive(args)
         return _COMMANDS[args.command](args)
     except CfgParseError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -12,10 +12,16 @@ answers always-hit and always-miss questions about `a` precisely.  A
 may-analysis keeps the search small: where it proves `a` uncached, accesses
 to other blocks cannot change the focused state, so they are dropped.
 
-A model (`FocusedModel`) is the cache set's successor table plus one focus.
+A model (`FocusedModel`) is a cache set's successor table plus one focus.
 `unsimplified_model` takes the table as it is; `simplify_for` rewrites the
 rows where the may bounds prove the focus uncached.  Neither builds the table
 or the state space: callers pass the ones the abstract phase already built.
+The classification searches the set's access skeleton (`cfg.skeleton`): the
+entry and the access sources, with every chain of no-access edges between
+them contracted to one edge.  A focused state changes only on access edges
+and is read only at access sources, so the skeleton search finds the same
+states there as a search of the full table, in far fewer pairs.  The SMV
+export renders the full table.
 
 The test suite states the abstraction over frozensets of blocks and checks
 the search against it.  The search encodes a state as an int.  A
@@ -105,11 +111,12 @@ def initial_focused(positions: Sequence[int], k: int, init: InitMode) -> Focused
 class FocusedModel:
     """One block's model: the set's successor table, rewritten for the focus.
 
-    `succ[v]` lists `(dst, i)` per outgoing edge of v in `graph`'s edge order,
-    i the position in `blocks` of the accessed block or -1 for no access.  A
-    simplified model rewrites the rows of the sources where the focus is
-    provably uncached; every other row is the set's `cfg.adjacency` row.
-    `graph` is the projection the table was built from.
+    `succ[v]` lists `(dst, i)` per outgoing edge of v, i the position in
+    `blocks` of the accessed block or -1 for no access: the rows of the set's
+    `cfg.adjacency` table (in `graph`'s edge order) or of its `cfg.skeleton`.
+    A simplified model rewrites the rows of the sources where the focus is
+    provably uncached; every other row is the table's.  `graph` is the
+    projection the table was built from.
 
     The alphabet of younger sets is every block but the focus: `universe`,
     at positions `positions` of `blocks`.
@@ -134,7 +141,7 @@ class FocusedModel:
         return tuple(i for i, b in enumerate(self.blocks) if b != self.focus)
 
     def edges(self) -> list[Edge]:
-        """The model's edges in `graph`'s edge order.
+        """The model's edges in `graph`'s edge order; `succ` must be the full table.
 
         No-access self-loops are dropped, like projection drops them; the
         rows keep the ones relabeling creates, where the search passes over
@@ -156,7 +163,7 @@ def unsimplified_model(
     """Focused model over the raw projection.
 
     `space.blocks` must be `block_universe(g)` and `adj` must be
-    `adjacency(g, space.blocks)`.
+    `adjacency(g, space.blocks)` or its `skeleton`.
     """
     return FocusedModel(graph=g, focus=focus, k=space.k, blocks=space.blocks, succ=adj.succ)
 
@@ -178,7 +185,7 @@ def simplify_for(
     state ever reaches them.
 
     `may_fix` holds packed may states (see `ai`).  `adj` must be
-    `adjacency(g, space.blocks)`.
+    `adjacency(g, space.blocks)` or its `skeleton`.
     """
     k = space.k
     focus_i = space.index_of(focus)
@@ -198,7 +205,7 @@ class FocusedReach:
     """Reachable focused states per vertex, plus how the search went.
 
     `states[v]` holds masks (EPSILON_MASK or a younger-set over
-    `model.blocks`).
+    `model.blocks`), for every vertex v of `model.succ`.
     """
 
     states: dict[str, set[int]]
@@ -247,6 +254,7 @@ def focused_reach(
 ) -> FocusedReach:
     """Breadth-first reachability over (vertex, focused state) pairs.
 
+    The vertices are those of `model.succ`, the entry `model.graph.entry`.
     `init` holds the seed masks in search order (see `initial_focused`).
     Each goal is (source vertex, exists_hit, exists_miss) for one access;
     with goals given, the search stops as soon as every pending check is
@@ -256,17 +264,17 @@ def focused_reach(
     universal conclusions.  Raises FocusedCapacityError past `budget`
     discovered pairs.
     """
-    g = model.graph
     succ = model.succ
     k = model.k
     focus_pos = model.focus_pos
     pending = {} if goals is None else _pending_goals(goals)
     left = sum(want.bit_count() for want in pending.values())
-    reach: dict[str, set[int]] = {v: set() for v in g.vertices}
+    reach: dict[str, set[int]] = {v: set() for v in succ}
     work: deque = deque()
     explored = 0
 
-    entry, at_entry = g.entry, reach[g.entry]
+    entry = model.graph.entry
+    at_entry = reach[entry]
     for s in init:
         if s in at_entry:
             continue

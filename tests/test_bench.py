@@ -173,8 +173,11 @@ def test_run_experiment_row_shape():
 
 
 def test_run_experiment_records_budget_errors():
+    # Two chained accesses: the search over the access skeleton visits a and b,
+    # one pair more than the budget.  (A single edge a -> b contracts to a
+    # lone entry, one pair, which fits.)
     config = small_config(k=2)
-    g = build_cfg("a", ["a", "b"], [("a", "b", 0)], config)
+    g = build_cfg("a", ["a", "b", "c"], [("a", "b", 0), ("b", "c", 8)], config)
     rows, errors = run_experiment(
         [("tiny", 0, g)], config, modes=(Mode.MC_ONLY, Mode.AI_ONLY), mc_budget=1
     )

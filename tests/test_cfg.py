@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,10 +14,12 @@ from lrucheck.cfg import (
     CfgParseError,
     MemoryBlock,
     accesses_of,
+    adjacency,
     block_universe,
     parse_cfg,
     project,
     reverse_post_order,
+    skeleton,
 )
 
 
@@ -93,6 +97,62 @@ def test_parse_rejects_bad_access_values(k2_config):
 def test_parse_rejects_duplicate_vertices(k2_config):
     with pytest.raises(CfgParseError, match="duplicate vertex"):
         parse_cfg('{"entry": "a", "vertices": ["a", "a"], "edges": []}', k2_config)
+
+
+def _doc(**fields):
+    """A valid two-vertex document with `fields` replaced; None drops a field."""
+    doc = {"entry": "a", "vertices": ["a", "b"], "edges": [{"from": "a", "to": "b", "access": 0}]}
+    doc.update(fields)
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+def _edge(**fields):
+    edge = {"from": "a", "to": "b", "access": 0}
+    edge.update(fields)
+    return _doc(edges=[{k: v for k, v in edge.items() if v != "DROP"}])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\ufeff{}", "byte order mark not allowed; input must be plain UTF-8"),
+        ('{"entry": "a",,}',
+         "invalid JSON at line 1 column 15: Expecting property name enclosed in double quotes"),
+        ("[]", "top-level value must be an object"),
+        (_doc(zz=1, extra=2), "unknown top-level fields: ['extra', 'zz']"),
+        (_doc(entry=None), "missing required field 'entry'"),
+        (_doc(vertices=None), "missing required field 'vertices'"),
+        (_doc(edges=None), "missing required field 'edges'"),
+        (_doc(name=""), "name must be a non-empty string"),
+        (_doc(name=7), "name must be a non-empty string"),
+        (_doc(vertices=[]), "vertices must be a non-empty array"),
+        (_doc(vertices="ab"), "vertices must be a non-empty array"),
+        (_doc(vertices=["a", 3]), "vertex names must be non-empty strings, got 3"),
+        (_doc(vertices=["a", ""]), "vertex names must be non-empty strings, got ''"),
+        (_doc(vertices=["a", "b", "a"]), "duplicate vertex 'a'"),
+        (_doc(entry=1), "entry must be a string"),
+        (_doc(entry="z"), "entry 'z' is not a declared vertex"),
+        (_doc(edges={}), "edges must be an array"),
+        (_doc(edges=[1]), "edge 0: must be an object"),
+        (_edge(weight=3, cost=1), "edge 0: unknown fields: ['cost', 'weight']"),
+        (_edge(access="DROP"), "edge 0: missing field 'access'"),
+        (_edge(to="DROP"), "edge 0: missing field 'to'"),
+        (_edge(**{"from": 1}), "edge 0: 'from' must be a string"),
+        (_edge(to=None), "edge 0: 'to' must be a string"),
+        (_doc(edges=[{"from": "a", "to": "b", "access": None},
+                     {"from": "ghost", "to": "b", "access": None}]),
+         "edge 1: 'from' names undeclared vertex 'ghost'"),
+        (_edge(to="ghost"), "edge 0: 'to' names undeclared vertex 'ghost'"),
+        *[
+            (_edge(access=bad), "edge 0: 'access' must be null or a non-negative integer address")
+            for bad in (-8, True, "0", 1.5)
+        ],
+    ],
+)
+def test_parse_error_messages(k2_config, text, message):
+    with pytest.raises(CfgParseError) as exc:
+        parse_cfg(text, k2_config)
+    assert str(exc.value) == message
 
 
 def test_parse_deterministic(k2_config):
@@ -178,6 +238,62 @@ def test_reverse_post_order_appends_unreachable(k2_config):
     g = build_cfg("a", ["a", "b", "zzz"], [("a", "b", None)], k2_config)
     order = reverse_post_order(g)
     assert order[-1] == "zzz"
+
+
+def skeleton_of(g):
+    return skeleton(adjacency(g, block_universe(g)), g.entry)
+
+
+def test_skeleton_contracts_noaccess_paths(k2_config):
+    # Kept: the entry e and the access sources a and b.  u3 <-> u4 is a cycle
+    # of unkept vertices; e reaches a over two paths; b -> b is an access
+    # self-loop.
+    g = build_cfg(
+        "e",
+        ["e", "u1", "u2", "u5", "a", "b", "u3", "u4", "exit"],
+        [
+            ("e", "u1", None), ("u1", "a", None), ("u1", "u2", None), ("u2", "b", None),
+            ("e", "u5", None), ("u5", "a", None),
+            ("a", "u3", 0), ("a", "b", 0), ("b", "u3", 8), ("b", "b", 0),
+            ("u3", "u4", None), ("u4", "u3", None), ("u4", "a", None), ("u4", "exit", None),
+        ],
+        k2_config,
+    )
+    adj = adjacency(g, block_universe(g))
+    sk = skeleton(adj, g.entry)
+    assert sk.order == ("e", "a", "b") == tuple(v for v in adj.order if v in "eab")
+    assert sk.accessing == adj.accessing == {"a", "b"}
+    assert sk.succ == {
+        "e": (("a", -1), ("b", -1)),
+        "a": (("a", 0), ("b", 0)),
+        "b": (("a", 1), ("b", 0)),
+    }
+
+
+def test_skeleton_drops_unkept_sinks_and_keeps_access_rows(loop2, straight2):
+    # Straight line: every edge accesses, so the rows stay, except that the
+    # sink v5 is not kept and the last access edge leads to no kept vertex.
+    adj = adjacency(straight2, block_universe(straight2))
+    assert skeleton_of(straight2).succ == {
+        **{v: row for v, row in adj.succ.items() if v not in ("v4", "v5")},
+        "v4": (),
+    }
+    # Loop: d's no-access edges lead back to b and out to the sink exit.
+    assert skeleton_of(loop2).succ == {"a": (("b", -1),), "b": (("c", 0),), "c": (("b", 1),)}
+
+
+def test_skeleton_of_unreachable_and_sink_vertices(k2_config):
+    g = build_cfg(
+        "e",
+        ["e", "sink", "z", "zz"],
+        [("e", "sink", None), ("z", "zz", None), ("zz", "z", 0)],
+        k2_config,
+    )
+    sk = skeleton_of(g)
+    # The unreachable access source zz is kept; its no-access successor z
+    # leads back to it.
+    assert sk.succ == {"e": (), "zz": (("zz", 0),)}
+    assert sk.order == ("e", "zz")
 
 
 def test_block_universe_sorted(straight2):

@@ -362,6 +362,32 @@ def test_budget_exit_codes(capsys, tmp_path):
     assert "raise --budget-oracle" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("analyze", "--budget-mc", "0"),
+        ("verify", "--budget-mc", "-5"),
+        ("analyze", "--budget-oracle", "-1"),
+        ("verify", "--budget-oracle", "0"),
+        ("gen", "--count", "-3"),
+        ("gen", "--count", "0"),
+    ],
+)
+def test_budgets_and_counts_below_one_are_usage_errors(capsys, tmp_path, command, flag, value):
+    out_path = str(tmp_path / "out")
+    if command == "gen":
+        argv = ["gen", "--outdir", out_path]
+    else:
+        argv = [command, str(LOOP_JSON), "--out", out_path]
+        if command == "analyze":
+            argv.append("--with-oracle")
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be at least 1, got {value}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_focused_budget_bounds_unknown_seeds(capsys, tmp_path):
     # One 6-way set over 40 blocks: an unknown cache gives each focused search
     # Σ_{c<=5} C(39, c) + 1 = 667,929 seed states; the budget must stop their
@@ -510,6 +536,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "usage: lrucheck" in proc.stdout
+
+
+def test_package_entry_point_from_source_checkout():
+    src = str(REPO / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lrucheck", "--help"],
+        capture_output=True, text=True, cwd=REPO, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: lrucheck")
 
 
 def test_reimport_frees_previous_package():

@@ -33,7 +33,15 @@ from helpers import (
 )
 from lrucheck.ai import MAY
 from lrucheck.bench import GenSpec, generate
-from lrucheck.cfg import AccessId, CacheConfig, MemoryBlock, accesses_of, block_universe, project
+from lrucheck.cfg import (
+    AccessId,
+    CacheConfig,
+    MemoryBlock,
+    accesses_of,
+    block_universe,
+    project,
+    skeleton,
+)
 from lrucheck.classify import Mode, abstract_phase
 from lrucheck.concrete import InitMode, StateSpace
 from lrucheck.focused import (
@@ -182,7 +190,7 @@ def test_mask_search_matches_reference_search(init):
             residual = analysis.residual_by_block()
             for simplified in (False, True):
                 for focus in space.blocks:
-                    model = analysis.model(focus, simplified)
+                    model = analysis.model(focus, simplified, analysis.adj)
                     if simplified:
                         may = unpack_fixpoint(MAY, analysis.may, space)
                         edges = reference_simplified_edges(pg, focus, may, k, space)
@@ -204,6 +212,83 @@ def test_mask_search_matches_reference_search(init):
                         case = (name, s, focus, simplified, goals is not None)
                         assert (reach.explored, reach.partial) == (explored, partial), case
                         assert decoded_states(reach) == states, case
+
+
+def skeleton_cases():
+    """Corpus programs of 1 and 2 sets, generated ones of 4 and 8, and 120-vertex loops."""
+    programs = corpus_programs(24, base_seed=700, sets=None)
+    for sets in (4, 8):
+        for seed in range(4):
+            config = CacheConfig(associativity=(2, 4)[seed % 2], num_sets=sets, block_size=8)
+            spec = GenSpec(vertices=60, loops=6, depth=2, blocks=3 * sets, seed=seed)
+            programs.append((f"sets{sets}.{seed}", config, generate(spec, config)))
+    config = CacheConfig(associativity=4, num_sets=2, block_size=8)
+    for seed in range(4):
+        spec = GenSpec(vertices=120, loops=12, depth=3, blocks=10, seed=seed)
+        programs.append((f"loops{seed}", config, generate(spec, config)))
+    return programs
+
+
+def refutations(reach, goals):
+    """The goals' refuting (source, state kind) pairs that a search has met.
+
+    Epsilon refutes an always-hit check (pending unless a miss is known), a
+    cached state an always-miss check (pending unless a hit is known).
+    """
+    met = set()
+    for src, ex_hit, ex_miss in goals:
+        states = reach.states[src]
+        if not ex_miss and EPSILON_MASK in states:
+            met.add((src, "epsilon"))
+        if not ex_hit and any(m != EPSILON_MASK for m in states):
+            met.add((src, "cached"))
+    return met
+
+
+@pytest.mark.parametrize("init", list(InitMode))
+def test_skeleton_search_matches_raw_search(init):
+    for name, config, g in skeleton_cases():
+        k = config.associativity
+        for s in range(config.num_sets):
+            pg = project(g, s, config)
+            analysis = abstract_phase(pg, k, init, Mode.AI_MC, accesses_of(pg))
+            if not analysis.accesses:
+                continue
+            table = skeleton(analysis.adj, pg.entry)
+            kept = analysis.adj.accessing | {pg.entry}
+            assert table.succ.keys() == kept
+            residual = analysis.residual_by_block()
+            for simplified in (False, True):
+                for focus in analysis.space.blocks:
+                    raw_model = analysis.model(focus, simplified, analysis.adj)
+                    skel_model = analysis.model(focus, simplified, table)
+                    seeds = initial_focused(raw_model.positions, k, init)
+                    # ai+mc goals with their known halves, and mc-only goals
+                    # (nothing known) for every access to the focus.
+                    checks = [(a, False, False) for a in analysis.accesses if a.block == focus]
+                    checks_ai = [
+                        (c.access, c.exists_hit, c.exists_miss) for c in residual.get(focus, [])
+                    ]
+                    for goal_checks in (None, checks_ai, checks):
+                        if goal_checks == []:
+                            continue
+                        goals = None
+                        if goal_checks is not None:
+                            goals = [(a.src, eh, em) for a, eh, em in goal_checks]
+                        raw = focused_reach(raw_model, seeds, goals)
+                        got = focused_reach(skel_model, seeds, goals)
+                        case = (name, s, focus, init, simplified, goals)
+                        assert got.partial == raw.partial, case
+                        if raw.partial:
+                            assert refutations(got, goals) == refutations(raw, goals), case
+                        else:
+                            assert got.states == {v: raw.states[v] for v in kept}, case
+                            assert got.explored <= raw.explored, case
+                        for a, eh, em in goal_checks or checks:
+                            if raw.partial or not (eh and em):
+                                assert check_access(got, a, eh, em) == check_access(
+                                    raw, a, eh, em
+                                ), case
 
 
 def test_initial_focused_unknown_count():
