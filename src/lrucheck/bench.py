@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .cfg import CacheConfig, Cfg, parse_cfg
 from .classify import ClassifyResult, Mode, Provenance, classify_all
-from .concrete import InitMode, OracleCapacityError
+from .concrete import InitMode
 from .focused import DEFAULT_MC_BUDGET, FocusedCapacityError
 
 log = logging.getLogger(__name__)
@@ -253,9 +253,10 @@ def run_experiment(
 ) -> tuple[list[ExperimentRow], list[str]]:
     """Classify every program under every mode.
 
-    Returns the rows plus a list of error descriptions for runs that blew a
-    budget; those runs are skipped and the experiment continues.  Timings are
-    recorded only when `timings` is set, keeping default output reproducible.
+    Returns the rows plus a list of error descriptions for runs that blew the
+    focused search budget; those runs are skipped and the experiment
+    continues.  Timings are recorded only when `timings` is set, keeping
+    default output reproducible.
     """
     rows: list[ExperimentRow] = []
     errors: list[str] = []
@@ -265,7 +266,7 @@ def run_experiment(
                 result = classify_all(
                     g, config, init, mode, simplify=simplify, mc_budget=mc_budget
                 )
-            except (FocusedCapacityError, OracleCapacityError) as exc:
+            except FocusedCapacityError as exc:
                 errors.append(f"{name} [{mode.value}]: {exc}")
                 log.warning("skipping %s [%s]: %s", name, mode.value, exc)
                 continue

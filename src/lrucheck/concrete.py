@@ -9,10 +9,14 @@ oldest block falls off the end once the tuple would exceed k entries.
 
 The oracle computes, per program point, the exact set of cache states an
 execution can be in (a least fixpoint of the reachable-state equations), and
-classifies accesses from it.  It enumerates states explicitly over the raw
-projection, sharing nothing with the abstract domains or the focused search
-it checks, so it is only usable on small universes; a (vertex, state) pair
-budget guards against blowup.
+classifies accesses from it.  It walks the raw projection, sharing nothing
+with the abstract domains or the focused search it checks.  Every state set
+it holds is an explicit set of tuples, except where a point can be in every
+state of an unknown initial cache: there it holds one lazy `AllStates`,
+which no-access edges pass on as it is and whose access images are built
+directly.  A (vertex, state) pair budget, counting every state of such a
+point, guards against blowup, so the oracle is only usable on small
+universes.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import enum
 import itertools
 import math
 from collections import deque
+from collections.abc import Iterator, Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,6 +85,47 @@ class StateSpace:
         return sum(math.perm(n, c) for c in range(min(self.k, n) + 1))
 
 
+@dataclass(frozen=True, eq=False)
+class AllStates(Set[ConcreteState]):
+    """Every state of `space`, enumerated lazily: an unknown cache.
+
+    `len` counts the states from `count_states` without enumerating them.
+    Iteration yields them by size, the empty cache first, each size in
+    `itertools.permutations` order.  Membership accepts exactly the valid
+    states: a tuple of at most k distinct positions in `space.blocks`.
+    """
+
+    space: StateSpace
+
+    def __len__(self) -> int:
+        return self.space.count_states()
+
+    def __iter__(self) -> Iterator[ConcreteState]:
+        n = len(self.space.blocks)
+        for c in range(min(self.space.k, n) + 1):
+            yield from itertools.permutations(range(n), c)
+
+    def __contains__(self, q: object) -> bool:
+        n = len(self.space.blocks)
+        return (
+            isinstance(q, tuple)
+            and len(q) <= self.space.k
+            and len(set(q)) == len(q)
+            and all(isinstance(p, int) and 0 <= p < n for p in q)
+        )
+
+    def image(self, i: int) -> set[ConcreteState]:
+        """The states after an access to position i: i in front of any state
+        of the other positions with fewer than k entries."""
+        n = len(self.space.blocks)
+        others = [p for p in range(n) if p != i]
+        return {
+            (i,) + q
+            for c in range(min(self.space.k, n))
+            for q in itertools.permutations(others, c)
+        }
+
+
 def _over_budget(g: ProjectedCfg, budget: int) -> OracleCapacityError:
     return OracleCapacityError(
         f"oracle needs more than {budget} (vertex, state) pairs on {g.name!r}"
@@ -91,36 +137,33 @@ def collecting_semantics(
     space: StateSpace,
     init: InitMode = InitMode.EMPTY,
     budget: int = DEFAULT_ORACLE_BUDGET,
-) -> dict[str, frozenset[ConcreteState]]:
+) -> dict[str, Set[ConcreteState]]:
     """Exact per-vertex reachable cache-state sets.
 
     Least fixpoint of: entry holds the initial states (the empty cache, or
     every state of `space`); each edge propagates the source vertex's states
     through its access (no-access edges propagate states unchanged).
-    Vertices unreachable from the entry end up with the empty set.  Raises
-    OracleCapacityError when the total number of (vertex, state) pairs
+    Vertices unreachable from the entry end up with the empty set.  A vertex
+    that can be in every state holds one shared `AllStates`; every other
+    vertex holds a frozenset.  Raises OracleCapacityError when the total
+    number of (vertex, state) pairs, every state of an `AllStates` counted,
     exceeds `budget`.
     """
-    # Check the seed count before enumerating: an unknown cache over a large
+    # Check the seed count before any work: an unknown cache over a large
     # universe has more initial states than any budget can hold.
     total = 1 if init is InitMode.EMPTY else space.count_states()
     if total > budget:
         raise _over_budget(g, budget)
-    k, n = space.k, len(space.blocks)
-    if init is InitMode.EMPTY:
-        seeds = {()}
-    else:
-        seeds = {
-            q for c in range(min(k, n) + 1) for q in itertools.permutations(range(n), c)
-        }
+    k = space.k
+    full = AllStates(space)
     adj = out_edges(g)
     index = space.index_of
     succ = {
         v: [(e.dst, None if e.block is None else index(e.block)) for e in edges]
         for v, edges in adj.items()
     }
-    reach: dict[str, set[ConcreteState]] = {v: set() for v in g.vertices}
-    reach[g.entry] = seeds
+    reach: dict[str, Set[ConcreteState]] = {v: set() for v in g.vertices}
+    reach[g.entry] = {()} if init is InitMode.EMPTY else full
 
     order = reverse_post_order(g, adj)
     work = deque(order)
@@ -132,7 +175,22 @@ def collecting_semantics(
         if not src_states:
             continue
         for w, i in succ[v]:
-            if i is None:
+            target = reach[w]
+            if target is full:
+                continue
+            if src_states is full and i is None:
+                # The target can now be in every state: it shares `full`.
+                total += len(full) - len(target)
+                if total > budget:
+                    raise _over_budget(g, budget)
+                reach[w] = full
+                if w not in queued:
+                    queued.add(w)
+                    work.append(w)
+                continue
+            if src_states is full:
+                image = full.image(i)
+            elif i is None:
                 image = src_states
             else:
                 image = set()
@@ -142,7 +200,6 @@ def collecting_semantics(
                         image.add((i,) + q[:j] + q[j + 1:])
                     else:
                         image.add(((i,) + q)[:k])
-            target = reach[w]
             fresh = image - target
             if fresh:
                 target |= fresh
@@ -152,12 +209,12 @@ def collecting_semantics(
                 if w not in queued:
                     queued.add(w)
                     work.append(w)
-    return {v: frozenset(states) for v, states in reach.items()}
+    return {v: states if states is full else frozenset(states) for v, states in reach.items()}
 
 
 def exact_classify(
     space: StateSpace,
-    reach: dict[str, frozenset[ConcreteState]],
+    reach: Mapping[str, Set[ConcreteState]],
     access: AccessId,
 ) -> Verdict:
     """Ground-truth verdict for one access, given exact reachable states.
@@ -165,7 +222,9 @@ def exact_classify(
     Hits on every reachable state: always-hit.  Misses on every reachable
     state: always-miss.  Otherwise both behaviors are realized, so the access
     is definitely-unknown.  An access whose source is unreachable hits
-    vacuously and is reported always-hit.
+    vacuously and is reported always-hit.  Each scan stops at the first
+    state that decides it, so an `AllStates` (the empty cache first) is
+    never enumerated.
     """
     states = reach[access.src]
     i = space.index_of(access.block)

@@ -6,6 +6,7 @@ works over cached-position tuples and is checked against them, decoded.
 
 from __future__ import annotations
 
+import itertools
 import time
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from helpers import (
     age_reach,
+    age_vector,
     all_states,
     blocks_for,
     build_cfg,
@@ -30,6 +32,7 @@ from helpers import (
 from lrucheck.bench import GenSpec, generate
 from lrucheck.cfg import CacheConfig, accesses_of, block_universe, load_cfg, project
 from lrucheck.concrete import (
+    AllStates,
     InitMode,
     OracleCapacityError,
     StateSpace,
@@ -181,6 +184,24 @@ def test_collecting_budget_checked_before_enumeration(k2_config):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_collecting_unknown_cache_is_not_enumerated(k2_config):
+    # The entry and the no-access successor hold every state of an unknown
+    # 4-way cache over 40 blocks (2,254,241 each, 4.5M pairs within the
+    # budget); only the access image, 56,356 states, may be enumerated.
+    g = project(
+        build_cfg("a", ["a", "b", "c"], [("a", "b", None), ("b", "c", 0)], k2_config),
+        0,
+        k2_config,
+    )
+    space = StateSpace(k=4, blocks=blocks_for(40))
+    t0 = time.perf_counter()
+    reach = collecting_semantics(g, space, InitMode.UNKNOWN, budget=10**7)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(reach["a"]) == 2_254_241
+    assert reach["b"] is reach["a"]
+    assert len(reach["c"]) == 1 + 39 + 39 * 38 + 39 * 38 * 37
+
+
 def test_collecting_monotone_in_initial_states(k2_config, loop2):
     # every state reachable from the empty cache is reachable from unknown
     pg = project(loop2, 0, k2_config)
@@ -299,11 +320,102 @@ def test_unknown_seeds_are_every_state():
             assert age_reach(space, reach)["a"] == initial_states(space, InitMode.UNKNOWN)
 
 
+# --- the lazy every-state set of an unknown cache ----------------------------
+
+
+def explicit_states(n, k):
+    """Every state, listed: sizes 0..min(k, n), each in permutations order."""
+    return [q for c in range(min(k, n) + 1) for q in itertools.permutations(range(n), c)]
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("k", range(1, 5))
+def test_all_states_is_every_state(n, k):
+    space = space_for(n, k)
+    full = AllStates(space)
+    seeds = explicit_states(n, k)
+    assert len(full) == space.count_states() == len(seeds)
+    listed = list(full)
+    assert listed == seeds
+    assert len(set(listed)) == len(listed)
+    assert full == frozenset(seeds)
+    assert frozenset(seeds) == full
+    assert frozenset(age_vector(space, q) for q in full) == initial_states(space, InitMode.UNKNOWN)
+    assert all(q in full for q in seeds)
+    if n >= 1:
+        assert list(range(n))[:k] not in full
+    if n >= 2 and k >= 2:
+        assert (0, 0) not in full
+    if n > k:
+        assert tuple(range(k + 1)) not in full
+    assert (n,) not in full
+    assert (-1,) not in full
+
+
+def test_all_states_image_is_the_mapped_set():
+    # An access from every state gives the same set as mapping every state.
+    for n in range(1, 6):
+        for k in range(1, 5):
+            space = space_for(n, k)
+            for i in range(n):
+                mapped = set()
+                for q in AllStates(space):
+                    j = q.index(i) if i in q else len(q)
+                    mapped.add(((i,) + q[:j] + q[j + 1:])[:k])
+                assert AllStates(space).image(i) == mapped, (n, k, i)
+
+
+#: Small graphs whose unknown-cache runs take each every-state path of the
+#: oracle.  The unreachable vertex z accesses blocks 0-2 on self-loops, so
+#: every universe has three blocks.
+EVERY_STATE_GRAPHS = {
+    "noaccess-chain-into-access": [
+        ("a", "b", None), ("b", "c", None), ("c", "d", 0), ("d", "e", 8),
+    ],
+    "back-edge-into-entry": [
+        ("a", "b", 0), ("b", "a", None), ("b", "c", 8), ("c", "a", 16),
+    ],
+    "access-self-loop-at-entry": [("a", "a", 0), ("a", "b", None), ("b", "c", 8)],
+    # d gets explicit states from c before b passes every state on.
+    "joined-explicit-then-every-state": [
+        ("a", "b", None), ("a", "c", 0), ("b", "d", None), ("c", "d", 8), ("d", "e", 16),
+    ],
+    # d holds every state when c's explicit states arrive.
+    "joined-every-state-then-explicit": [
+        ("a", "c", 0), ("a", "b", None), ("b", "x", None), ("x", "d", None),
+        ("c", "d", 8), ("d", "e", 16),
+    ],
+    # h is visited before u, and then gets every state back from u; its
+    # access to e must run again from every state.
+    "every-state-back-into-visited-vertex": [
+        ("a", "h", 0), ("h", "u", 8), ("a", "u", None), ("u", "h", None), ("h", "e", 16),
+    ],
+}
+
+
+def every_state_graph(name, config):
+    edges = EVERY_STATE_GRAPHS[name] + [("z", "z", 8 * i) for i in range(3)]
+    vertices = sorted({v for e in edges for v in e[:2]})
+    return project(build_cfg("a", vertices, edges, config, name=name), 0, config)
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_STATE_GRAPHS))
+@pytest.mark.parametrize("k", (1, 2, 4))
+@pytest.mark.parametrize("init", list(InitMode))
+def test_oracle_matches_spec_on_every_state_paths(name, k, init):
+    pg = every_state_graph(name, small_config(k=k))
+    space = StateSpace(k=k, blocks=block_universe(pg))
+    assert len(space.blocks) == 3
+    assert_oracle_matches_spec(pg, space, init)
+
+
 @pytest.mark.parametrize("init", list(InitMode))
 def test_budget_boundary_is_the_pair_count(init):
     config = CacheConfig(associativity=2, num_sets=1, block_size=8)
-    for path in sorted(EXAMPLES.glob("*.json")):
-        pg = project(load_cfg(str(path), config), 0, config)
+    graphs = [project(load_cfg(str(path), config), 0, config)
+              for path in sorted(EXAMPLES.glob("*.json"))]
+    graphs += [every_state_graph(name, config) for name in sorted(EVERY_STATE_GRAPHS)]
+    for pg in graphs:
         space = StateSpace(k=2, blocks=block_universe(pg))
         pairs = sum(len(states) for states in reference_collecting(pg, space, init).values())
         with pytest.raises(OracleCapacityError) as exc:
