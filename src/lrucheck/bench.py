@@ -5,6 +5,8 @@ three constructs (straight edges, branch diamonds, natural loops), so the same
 GenSpec always yields the same graph.  Loop bodies re-access at least two
 distinct blocks when the universe allows, which is the shape that makes cache
 classification interesting: the second iteration hits where the first missed.
+Each program is built once, as a CFG JSON document: `generate_json` writes
+that document as built, and `generate` parses it into a `Cfg`.
 
 The harness runs the classification pipeline over a corpus in several modes
 and emits one CSV row per (program, mode) with verdict, provenance and work
@@ -137,11 +139,9 @@ class _Builder:
                 cur = nxt
 
 
-def generate(spec: GenSpec, config: CacheConfig = DEFAULT_CONFIG, name: Optional[str] = None) -> Cfg:
-    """Build one synthetic program as a parsed Cfg.
+def _document(spec: GenSpec, config: CacheConfig, name: Optional[str]) -> dict:
+    """The CFG JSON document of one synthetic program.
 
-    The graph is emitted through the same JSON document format the parser
-    accepts, so generated corpora round-trip through files losslessly.
     Raises GenError when the vertex budget cannot fit the requested loops.
     """
     if spec.loops > 0 and spec.vertices < 1 + _LOOP_COST * spec.loops:
@@ -151,32 +151,31 @@ def generate(spec: GenSpec, config: CacheConfig = DEFAULT_CONFIG, name: Optional
         )
     builder = _Builder(spec, config)
     builder.build()
-    doc = {
+    return {
         "name": name or f"gen{spec.seed}",
         "entry": "v0",
         "vertices": builder.vertices,
         "edges": builder.edges,
     }
-    return parse_cfg(json.dumps(doc), config)
+
+
+def generate(spec: GenSpec, config: CacheConfig = DEFAULT_CONFIG, name: Optional[str] = None) -> Cfg:
+    """Build one synthetic program as a parsed Cfg.
+
+    The program is parsed from the document `generate_json` writes, so
+    generated corpora on disk hold exactly the programs built here.
+    Raises GenError when the vertex budget cannot fit the requested loops.
+    """
+    return parse_cfg(json.dumps(_document(spec, config, name)), config)
 
 
 def generate_json(spec: GenSpec, config: CacheConfig = DEFAULT_CONFIG, name: Optional[str] = None) -> str:
-    """The JSON document for `generate`, for writing corpora to disk."""
-    g = generate(spec, config, name)
-    doc = {
-        "name": g.name,
-        "entry": g.entry,
-        "vertices": list(g.vertices),
-        "edges": [
-            {
-                "from": e.src,
-                "to": e.dst,
-                "access": None if e.block is None else e.block.index * config.block_size,
-            }
-            for e in g.edges
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The JSON document of `generate`'s program, for writing corpora to disk.
+
+    The document is written as built, without parsing it; only the block
+    size of `config` is read.  Raises GenError like `generate`.
+    """
+    return json.dumps(_document(spec, config, name), indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -280,29 +279,6 @@ def write_csv(rows: Sequence[ExperimentRow], path: str) -> None:
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow([getattr(row, col) for col in CSV_COLUMNS])
-
-
-def read_csv(path: str) -> list[ExperimentRow]:
-    """Read rows back; exact round-trip of `write_csv` output."""
-    types = {f.name: f.type for f in fields(ExperimentRow)}
-    out: list[ExperimentRow] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV columns: {reader.fieldnames}")
-        for rec in reader:
-            kwargs = {}
-            for col in CSV_COLUMNS:
-                t = types[col]
-                raw = rec[col]
-                if t in ("int", int):
-                    kwargs[col] = int(raw)
-                elif t in ("float", float):
-                    kwargs[col] = float(raw)
-                else:
-                    kwargs[col] = raw
-            out.append(ExperimentRow(**kwargs))
-    return out
 
 
 def geometric_mean(values: Sequence[float]) -> Optional[float]:

@@ -43,7 +43,7 @@ EXIT_IO = 4
 log = logging.getLogger(__name__)
 
 
-def _add_cache_flags(p: argparse.ArgumentParser) -> None:
+def _add_cache_flags(p: argparse.ArgumentParser, *, budget_mc: bool) -> None:
     p.add_argument("--assoc", type=int, default=DEFAULT_CONFIG.associativity,
                    help="cache associativity (ways per set)")
     p.add_argument("--sets", type=int, default=DEFAULT_CONFIG.num_sets,
@@ -52,10 +52,9 @@ def _add_cache_flags(p: argparse.ArgumentParser) -> None:
                    help="cache line size in bytes (power of two)")
     p.add_argument("--init", choices=[m.value for m in InitMode], default="empty",
                    help="initial cache contents")
-    p.add_argument("--budget-oracle", type=int, default=DEFAULT_ORACLE_BUDGET,
-                   help="state budget for the exact oracle")
-    p.add_argument("--budget-mc", type=int, default=DEFAULT_MC_BUDGET,
-                   help="state budget per focused search")
+    if budget_mc:
+        p.add_argument("--budget-mc", type=int, default=DEFAULT_MC_BUDGET,
+                       help="state budget per focused search")
     p.add_argument("--config", metavar="FILE", default=None,
                    help="key=value defaults file; command line flags win")
 
@@ -77,7 +76,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("analyze", help="classify every access and emit a JSON report")
     p.add_argument("input", help="CFG JSON file")
-    _add_cache_flags(p)
+    _add_cache_flags(p, budget_mc=True)
+    p.add_argument("--budget-oracle", type=int, default=None,
+                   help="state budget for the exact oracle (with --with-oracle only)")
     _add_mode_flag(p)
     p.add_argument("--out", default=None, help="report file (default: stdout)")
     p.add_argument("--with-oracle", action="store_true",
@@ -88,14 +89,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("verify", help="check pipeline verdicts against the exact oracle")
     p.add_argument("input", help="CFG JSON file")
-    _add_cache_flags(p)
+    _add_cache_flags(p, budget_mc=True)
+    p.add_argument("--budget-oracle", type=int, default=DEFAULT_ORACLE_BUDGET,
+                   help="state budget for the exact oracle")
     _add_mode_flag(p)
     p.add_argument("--out", default=None, help="write the differential report as JSON")
     commands["verify"] = p
 
     p = sub.add_parser("export-smv", help="emit focused cache models in SMV syntax")
     p.add_argument("input", help="CFG JSON file")
-    _add_cache_flags(p)
+    _add_cache_flags(p, budget_mc=False)
     _add_mode_flag(p)
     p.add_argument("--outdir", default=".", help="directory for .smv files")
     p.add_argument("--block", type=int, default=None,
@@ -113,7 +116,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--gen-blocks", type=int, default=4)
     p.add_argument("--gen-access-p", type=float, default=0.7)
     p.add_argument("--block-size", type=int, default=DEFAULT_CONFIG.block_size)
-    p.add_argument("--sets", type=int, default=DEFAULT_CONFIG.num_sets)
     p.add_argument("--config", metavar="FILE", default=None)
     commands["gen"] = p
 
@@ -121,7 +123,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--corpus", required=True, help="directory of CFG JSON files")
     p.add_argument("--modes", default="ai+mc,mc-only",
                    help="comma-separated pipeline modes to run")
-    _add_cache_flags(p)
+    _add_cache_flags(p, budget_mc=True)
     p.add_argument("--no-simplify", action="store_true")
     p.add_argument("--out", default="bench.csv", help="CSV output path")
     p.add_argument("--timings", action="store_true",
@@ -212,6 +214,8 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.budget_oracle is not None and not args.with_oracle:
+        raise CfgParseError("--budget-oracle is read only with --with-oracle")
     config = _cache_config(args)
     g = load_cfg(args.input, config)
     init = InitMode(args.init)
@@ -221,7 +225,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         oracle = verify_against_oracle(
             g, config, init, mode,
             simplify=not args.no_simplify,
-            mc_budget=args.budget_mc, oracle_budget=args.budget_oracle,
+            mc_budget=args.budget_mc,
+            oracle_budget=(
+                DEFAULT_ORACLE_BUDGET if args.budget_oracle is None else args.budget_oracle
+            ),
         )
         result = oracle.classification
     else:
@@ -315,7 +322,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     config = _checked(
         CacheConfig,
         associativity=DEFAULT_CONFIG.associativity,
-        num_sets=args.sets,
+        num_sets=DEFAULT_CONFIG.num_sets,
         block_size=args.block_size,
     )
     os.makedirs(args.outdir, exist_ok=True)

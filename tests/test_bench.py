@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import hashlib
+import io
 import math
+import runpy
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +23,6 @@ from lrucheck.bench import (
     generate,
     generate_json,
     geometric_mean,
-    read_csv,
     row_from_result,
     run_experiment,
     summarize,
@@ -25,6 +30,9 @@ from lrucheck.bench import (
 )
 from lrucheck.cfg import parse_cfg
 from lrucheck.classify import Mode, classify_all
+from lrucheck.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def dominators(g):
@@ -152,6 +160,27 @@ def test_generate_json_roundtrip():
     assert parsed.edges == g.edges
 
 
+#: The benchmark's pinned workloads, read from their file without importing
+#: perfbench (run_path registers the module while it runs, as dataclasses need).
+WORKLOADS = runpy.run_path(str(REPO / "perfbench" / "workloads.py"))["WORKLOADS"]
+
+
+@pytest.mark.parametrize("name", ["analyze-loops", "verify-unknown"])
+def test_pinned_benchmark_corpora_regenerate(tmp_path, name):
+    # The benchmark refuses a corpus whose digest differs from the pinned one,
+    # so a generator change that moves these bytes would fail every run.
+    wl = WORKLOADS[name]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["gen", "--seed", str(wl.first_seed), "--count", str(wl.count),
+                     "--outdir", str(tmp_path), *wl.gen])
+    assert code == 0
+    digest = hashlib.sha256()
+    for seed in range(wl.first_seed, wl.first_seed + wl.count):
+        file_name = f"gen{seed}.json"
+        digest.update(file_name.encode() + b"\n" + (tmp_path / file_name).read_bytes())
+    assert digest.hexdigest() == wl.digest
+
+
 def experiment_rows(tmp_path=None):
     config = small_config(k=2)
     programs = [
@@ -214,14 +243,9 @@ def test_csv_roundtrip(tmp_path):
     write_csv(rows, str(path))
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
-    assert read_csv(str(path)) == rows
-
-
-def test_read_csv_rejects_wrong_columns(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("name,seed\np,1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="unexpected CSV columns"):
-        read_csv(str(path))
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = list(csv.DictReader(fh))
+    assert records == [{col: str(getattr(r, col)) for col in CSV_COLUMNS} for r in rows]
 
 
 def test_geometric_mean():

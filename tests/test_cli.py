@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 
 from helpers import cfg_text
 from smv_eval import parse_module
-from lrucheck.cli import main
+from lrucheck.cli import build_parser, main
 from lrucheck.classify import OracleReport
 
 REPO = Path(__file__).resolve().parent.parent
@@ -259,12 +260,11 @@ def test_bench_end_to_end(capsys, tmp_path):
     assert f"wrote 9 rows to {csv1}" in out
     assert "ai+mc: 3 programs" in out
 
-    from lrucheck.bench import read_csv
-
-    rows = read_csv(str(csv1))
+    with open(csv1, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 9
-    assert sorted({r.seed for r in rows}) == [0, 1, 2]  # seeds from file names
-    assert all(r.k == 2 and r.sets == 1 for r in rows)
+    assert sorted({r["seed"] for r in rows}) == ["0", "1", "2"]  # seeds from file names
+    assert all(r["k"] == "2" and r["sets"] == "1" for r in rows)
 
     csv2 = tmp_path / "b2.csv"
     code, out2, err = run_cli(capsys, *args, "--out", str(csv2))
@@ -327,6 +327,16 @@ def test_config_file_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(LOOP_JSON), "--config", str(bad_key))
     assert code == 2
     assert "unknown option" in err
+
+    # a key of a flag the subcommand does not read is unknown too
+    unread_key = tmp_path / "smv.conf"
+    unread_key.write_text("budget-oracle = 5\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "export-smv", str(LOOP_JSON), "--config", str(unread_key),
+                             "--outdir", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {unread_key}:1: unknown option 'budget-oracle'\n"
+    assert not (tmp_path / "out").exists()
 
     bad_value = tmp_path / "bad_value.conf"
     bad_value.write_text("assoc = abc\n", encoding="utf-8")
@@ -393,7 +403,7 @@ def test_focused_budget_bounds_unknown_seeds(capsys, tmp_path):
     # Σ_{c<=5} C(39, c) + 1 = 667,929 seed states; the budget must stop their
     # enumeration after the first thousand.
     run_cli(capsys, "gen", "--seed", "3", "--gen-vertices", "120", "--gen-loops", "10",
-            "--gen-blocks", "40", "--sets", "1", "--outdir", str(tmp_path))
+            "--gen-blocks", "40", "--outdir", str(tmp_path))
     t0 = time.perf_counter()
     code, out, err = run_cli(
         capsys, "analyze", str(tmp_path / "gen3.json"), "--init", "unknown", "--sets", "1",
@@ -489,7 +499,6 @@ def test_input_error_exit_codes(capsys, tmp_path):
         ("--gen-branch-p", "2"),
         ("--gen-access-p", "-0.5"),
         ("--gen-blocks", "0"),
-        ("--sets", "3"),
         ("--block-size", "12"),
     ],
 )
@@ -500,6 +509,82 @@ def test_gen_range_errors_are_usage_errors(capsys, tmp_path, flag, value):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
+
+
+#: The long options of each subcommand: exactly the flags it reads.
+FLAG_SETS = {
+    "analyze": {
+        "--assoc", "--sets", "--block-size", "--init", "--budget-mc", "--budget-oracle",
+        "--config", "--mode", "--no-simplify", "--out", "--with-oracle", "--timings",
+    },
+    "verify": {
+        "--assoc", "--sets", "--block-size", "--init", "--budget-mc", "--budget-oracle",
+        "--config", "--mode", "--no-simplify", "--out",
+    },
+    "export-smv": {
+        "--assoc", "--sets", "--block-size", "--init", "--config", "--mode", "--no-simplify",
+        "--outdir", "--block",
+    },
+    "gen": {
+        "--seed", "--count", "--outdir", "--gen-vertices", "--gen-loops", "--gen-depth",
+        "--gen-branch-p", "--gen-blocks", "--gen-access-p", "--block-size", "--config",
+    },
+    "bench": {
+        "--corpus", "--modes", "--assoc", "--sets", "--block-size", "--init", "--budget-mc",
+        "--config", "--no-simplify", "--out", "--timings",
+    },
+}
+
+
+def test_subcommand_flag_sets():
+    _, commands = build_parser()
+    accepted = {
+        name: {
+            flag for action in sub._actions for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        for name, sub in commands.items()
+    }
+    assert accepted == FLAG_SETS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export-smv", str(LOOP_JSON), "--budget-mc", "5"],
+        ["export-smv", str(LOOP_JSON), "--budget-oracle", "5"],
+        ["bench", "--corpus", str(LOOP_JSON.parent), "--budget-oracle", "5"],
+        ["gen", "--sets", "8"],
+    ],
+    ids=["export-smv-budget-mc", "export-smv-budget-oracle", "bench-budget-oracle", "gen-sets"],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_oracle_budget_without_oracle_is_usage_error(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "analyze", str(LOOP_JSON), *LOOP_FLAGS,
+                             "--budget-oracle", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --budget-oracle is read only with --with-oracle\n"
+
+    conf = tmp_path / "analyze.conf"
+    conf.write_text("budget-oracle = 5\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(LOOP_JSON), *LOOP_FLAGS,
+                             "--config", str(conf))
+    assert code == 2
+    assert err == "error: --budget-oracle is read only with --with-oracle\n"
+
+    code, out, err = run_cli(capsys, "analyze", str(LOOP_JSON), *LOOP_FLAGS,
+                             "--config", str(conf), "--with-oracle")
+    assert code == 3  # read, and too small for loop.json
+    assert "raise --budget-oracle" in err
 
 
 def test_log_level_variable(tmp_path):
