@@ -246,7 +246,6 @@ def run_experiment(
     modes: Sequence[Mode] = (Mode.AI_MC, Mode.MC_ONLY),
     init: InitMode = InitMode.EMPTY,
     *,
-    simplify: bool = True,
     mc_budget: int = DEFAULT_MC_BUDGET,
     timings: bool = False,
 ) -> tuple[list[ExperimentRow], list[str]]:
@@ -262,9 +261,7 @@ def run_experiment(
     for name, seed, g in programs:
         for mode in modes:
             try:
-                result = classify_all(
-                    g, config, init, mode, simplify=simplify, mc_budget=mc_budget
-                )
+                result = classify_all(g, config, init, mode, mc_budget=mc_budget)
             except FocusedCapacityError as exc:
                 errors.append(f"{name} [{mode.value}]: {exc}")
                 log.warning("skipping %s [%s]: %s", name, mode.value, exc)

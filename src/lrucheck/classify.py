@@ -8,7 +8,10 @@ checking them) and halves the work for the rest.
 
 The abstract fixpoints run on the set's full successor table, because the
 exists domains depend on the order they visit it in.  The focused searches
-run on its access skeleton (`cfg.skeleton`), built once per set.
+run on its access skeleton (`cfg.skeleton`), built once per set, as it is:
+the may-based pruning of `focused.simplify_for` relabels only rows whose
+reachable focused states are all epsilon, so it cannot change what an
+explicit search explores, and only the SMV export applies it.
 """
 
 from __future__ import annotations
@@ -53,11 +56,9 @@ from .concrete import (
 )
 from .focused import (
     DEFAULT_MC_BUDGET,
-    FocusedModel,
     check_access,
     focused_reach,
     initial_focused,
-    simplify_for,
     unsimplified_model,
 )
 from .verdict import Verdict
@@ -194,7 +195,8 @@ class SetAnalysis:
 
     `settled` holds the accesses the abstract domains decide; `residual` the
     rest, in access order, with the existential halves already known.  `may`
-    is the per-vertex may fixpoint, None in mc-only mode.  `adj` is the
+    is the per-vertex may fixpoint, None in mc-only mode; only the SMV
+    export's pruning (`focused.simplify_for`) reads it.  `adj` is the
     graph's successor table over `space.blocks`, None when nothing is
     accessed.
     """
@@ -213,15 +215,6 @@ class SetAnalysis:
         for c in self.residual:
             by_block.setdefault(c.access.block, []).append(c)
         return {b: by_block[b] for b in sorted(by_block)}
-
-    def model(self, block: MemoryBlock, simplify: bool, table: Adjacency) -> FocusedModel:
-        """The focused model of `block` over `table`, `adj` or its `cfg.skeleton`.
-
-        Simplified only when a may fixpoint exists.
-        """
-        if simplify and self.may is not None:
-            return simplify_for(self.graph, block, self.may, self.space, table)
-        return unsimplified_model(self.graph, block, self.space, table)
 
 
 def abstract_phase(
@@ -280,7 +273,6 @@ def _classify_set(
     k: int,
     init: InitMode,
     mode: Mode,
-    simplify: bool,
     mc_budget: int,
     accesses: list[AccessId],
 ) -> tuple[dict[AccessId, FinalVerdict], PhaseStats, StateSpace]:
@@ -301,7 +293,7 @@ def _classify_set(
     elif analysis.residual:
         table = skeleton(analysis.adj, pg.entry)
         for block, group in analysis.residual_by_block().items():
-            model = analysis.model(block, simplify, table)
+            model = unsimplified_model(pg, block, analysis.space, table)
             seeds = initial_focused(model.positions, k, init)
             goals = [(c.access.src, c.exists_hit, c.exists_miss) for c in group]
             reach = focused_reach(model, seeds, goals, budget=mc_budget)
@@ -343,7 +335,6 @@ def classify_all(
     init: InitMode = InitMode.EMPTY,
     mode: Mode = Mode.AI_MC,
     *,
-    simplify: bool = True,
     mc_budget: int = DEFAULT_MC_BUDGET,
 ) -> ClassifyResult:
     """Classify every access of a program, one cache set at a time.
@@ -358,7 +349,7 @@ def classify_all(
     for s in range(config.num_sets):
         pg = project(g, s, config)
         results, set_stats, space = _classify_set(
-            pg, config.associativity, init, mode, simplify, mc_budget, by_set[s]
+            pg, config.associativity, init, mode, mc_budget, by_set[s]
         )
         merged.update(results)
         stats.absorb(set_stats)
@@ -400,7 +391,6 @@ def verify_against_oracle(
     init: InitMode = InitMode.EMPTY,
     mode: Mode = Mode.AI_MC,
     *,
-    simplify: bool = True,
     mc_budget: int = DEFAULT_MC_BUDGET,
     oracle_budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> OracleReport:
@@ -413,7 +403,7 @@ def verify_against_oracle(
     projections and state spaces of the classification, one set at a time;
     entries follow the classification's access order.
     """
-    result = classify_all(g, config, init, mode, simplify=simplify, mc_budget=mc_budget)
+    result = classify_all(g, config, init, mode, mc_budget=mc_budget)
     by_set: list[list[AccessId]] = [[] for _ in result.sets]
     for fv in result.verdicts:
         by_set[fv.set_index].append(fv.access)

@@ -17,7 +17,7 @@ import logging
 import os
 import re
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .bench import (
     DEFAULT_CONFIG,
@@ -31,7 +31,7 @@ from .bench import (
 from .cfg import CacheConfig, CfgParseError, load_cfg, project
 from .classify import Mode, abstract_phase, accesses_by_set, classify_all, verify_against_oracle
 from .concrete import DEFAULT_ORACLE_BUDGET, InitMode
-from .focused import DEFAULT_MC_BUDGET, export_smv, smv_filename
+from .focused import DEFAULT_MC_BUDGET, export_smv, simplify_for, smv_filename, unsimplified_model
 from .report import build_report, render_report
 
 EXIT_OK = 0
@@ -41,6 +41,18 @@ EXIT_BUDGET = 3
 EXIT_IO = 4
 
 log = logging.getLogger(__name__)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise CfgParseError.
+
+    `main` turns that into one `error:` line and EXIT_USAGE, like every
+    other usage error.  Subparsers are built with the parser's own class,
+    so they raise it too.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        raise CfgParseError(message)
 
 
 def _add_cache_flags(p: argparse.ArgumentParser, *, budget_mc: bool) -> None:
@@ -62,12 +74,10 @@ def _add_cache_flags(p: argparse.ArgumentParser, *, budget_mc: bool) -> None:
 def _add_mode_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=[m.value for m in Mode], default="ai+mc",
                    help="pipeline mode")
-    p.add_argument("--no-simplify", action="store_true",
-                   help="model check on raw per-set graphs, skipping may-based pruning")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lrucheck",
         description="Static always-hit/always-miss classification for LRU instruction caches.",
     )
@@ -100,6 +110,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("input", help="CFG JSON file")
     _add_cache_flags(p, budget_mc=False)
     _add_mode_flag(p)
+    p.add_argument("--no-simplify", action="store_true",
+                   help="export the raw per-set models, skipping may-based pruning")
     p.add_argument("--outdir", default=".", help="directory for .smv files")
     p.add_argument("--block", type=int, default=None,
                    help="export this block index only, targeting all its accesses")
@@ -124,7 +136,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--modes", default="ai+mc,mc-only",
                    help="comma-separated pipeline modes to run")
     _add_cache_flags(p, budget_mc=True)
-    p.add_argument("--no-simplify", action="store_true")
     p.add_argument("--out", default="bench.csv", help="CSV output path")
     p.add_argument("--timings", action="store_true",
                    help="record wall-clock timings (makes output non-reproducible)")
@@ -224,7 +235,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.with_oracle:
         oracle = verify_against_oracle(
             g, config, init, mode,
-            simplify=not args.no_simplify,
             mc_budget=args.budget_mc,
             oracle_budget=(
                 DEFAULT_ORACLE_BUDGET if args.budget_oracle is None else args.budget_oracle
@@ -232,13 +242,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         result = oracle.classification
     else:
-        result = classify_all(
-            g, config, init, mode, simplify=not args.no_simplify, mc_budget=args.budget_mc,
-        )
-    doc = build_report(
-        g, config, init, mode, result,
-        simplify=not args.no_simplify, timings=args.timings, oracle=oracle,
-    )
+        result = classify_all(g, config, init, mode, mc_budget=args.budget_mc)
+    doc = build_report(g, config, init, mode, result, timings=args.timings, oracle=oracle)
     _write_text(args.out, render_report(doc))
     if oracle is not None and oracle.n_disagreements:
         log.error("oracle disagreements: %d", oracle.n_disagreements)
@@ -252,15 +257,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     init = InitMode(args.init)
     mode = Mode(args.mode)
     oracle = verify_against_oracle(
-        g, config, init, mode,
-        simplify=not args.no_simplify,
-        mc_budget=args.budget_mc, oracle_budget=args.budget_oracle,
+        g, config, init, mode, mc_budget=args.budget_mc, oracle_budget=args.budget_oracle,
     )
     if args.out:
-        doc = build_report(
-            g, config, init, mode, oracle.classification,
-            simplify=not args.no_simplify, oracle=oracle,
-        )
+        doc = build_report(g, config, init, mode, oracle.classification, oracle=oracle)
         _write_text(args.out, render_report(doc))
     status = "ok" if oracle.n_disagreements == 0 else "DISAGREE"
     sys.stdout.write(
@@ -282,9 +282,8 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
     known_blocks: set[int] = set()
     _, by_set = accesses_by_set(g, config.num_sets)
     for s in range(config.num_sets):
-        analysis = abstract_phase(
-            project(g, s, config), config.associativity, init, mode, by_set[s]
-        )
+        pg = project(g, s, config)
+        analysis = abstract_phase(pg, config.associativity, init, mode, by_set[s])
         if not analysis.accesses:
             continue
         known_blocks.update(b.index for b in analysis.space.blocks)
@@ -301,7 +300,10 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
             }
 
         for block, targets in targets_by_block.items():
-            model = analysis.model(block, not args.no_simplify, analysis.adj)
+            if args.no_simplify or analysis.may is None:
+                model = unsimplified_model(pg, block, analysis.space, analysis.adj)
+            else:
+                model = simplify_for(pg, block, analysis.may, analysis.space, analysis.adj)
             text = export_smv(model, init, targets)
             path = os.path.join(args.outdir, smv_filename(g.name, s, block))
             with open(path, "w", encoding="utf-8") as fh:
@@ -354,6 +356,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise CfgParseError(f"unknown mode in --modes: {exc}") from exc
     if not modes:
         raise CfgParseError("--modes must name at least one mode")
+    repeated = sorted({m.value for m in modes if modes.count(m) > 1})
+    if repeated:
+        raise CfgParseError(f"--modes names {', '.join(repeated)} more than once")
 
     names = sorted(n for n in os.listdir(args.corpus) if n.endswith(".json"))
     if not names:
@@ -365,8 +370,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         programs.append((g.name, int(m.group(1)) if m else -1, g))
 
     rows, errors = run_experiment(
-        programs, config, modes, init,
-        simplify=not args.no_simplify, mc_budget=args.budget_mc, timings=args.timings,
+        programs, config, modes, init, mc_budget=args.budget_mc, timings=args.timings,
     )
     write_csv(rows, args.out)
     for err in errors:
@@ -441,11 +445,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 sys.stderr.write(f"error: {exc}\n")
                 return EXIT_USAGE
 
-    args = parser.parse_args(argv)
     from .concrete import OracleCapacityError
     from .focused import FocusedCapacityError
 
     try:
+        args = parser.parse_args(argv)
         _check_positive(args)
         return _COMMANDS[args.command](args)
     except CfgParseError as exc:

@@ -8,20 +8,24 @@ single symbol epsilon meaning `a` is not cached.  This abstraction is exact
 for every question about `a` alone: it commutes with the LRU update.
 
 Explicit-state breadth-first search over (vertex, focused state) pairs then
-answers always-hit and always-miss questions about `a` precisely.  A
-may-analysis keeps the search small: where it proves `a` uncached, accesses
-to other blocks cannot change the focused state, so they are dropped.
+answers always-hit and always-miss questions about `a` precisely.
 
 A model (`FocusedModel`) is a cache set's successor table plus one focus.
-`unsimplified_model` takes the table as it is; `simplify_for` rewrites the
-rows where the may bounds prove the focus uncached.  Neither builds the table
-or the state space: callers pass the ones the abstract phase already built.
-The classification searches the set's access skeleton (`cfg.skeleton`): the
+Neither constructor builds the table or the state space: callers pass the
+ones the abstract phase already built.  The classification searches
+`unsimplified_model` over the set's access skeleton (`cfg.skeleton`): the
 entry and the access sources, with every chain of no-access edges between
 them contracted to one edge.  A focused state changes only on access edges
 and is read only at access sources, so the skeleton search finds the same
-states there as a search of the full table, in far fewer pairs.  The SMV
-export renders the full table.
+states there as a search of the full table, in far fewer pairs.
+
+`simplify_for` is the paper's may-based pruning, for the SMV export, which
+renders the full table for a symbolic model checker.  It relabels the
+accesses to other blocks as no-access edges where the may bound proves `a`
+uncached or the source unreachable.  Every focused state reachable there is
+epsilon, which such an access leaves unchanged, so an explicit search of the
+pruned model explores the same pairs in the same order: the classification
+does not prune.
 
 The test suite states the abstraction over frozensets of blocks and checks
 the search against it.  The search encodes a state as an int.  A
@@ -109,14 +113,14 @@ def initial_focused(positions: Sequence[int], k: int, init: InitMode) -> Focused
 
 @dataclass(frozen=True)
 class FocusedModel:
-    """One block's model: the set's successor table, rewritten for the focus.
+    """One block's model: the set's successor table plus the focus.
 
     `succ[v]` lists `(dst, i)` per outgoing edge of v, i the position in
     `blocks` of the accessed block or -1 for no access: the rows of the set's
     `cfg.adjacency` table (in `graph`'s edge order) or of its `cfg.skeleton`.
-    A simplified model rewrites the rows of the sources where the focus is
-    provably uncached; every other row is the table's.  `graph` is the
-    projection the table was built from.
+    A `simplify_for` model rewrites the full table's rows at the sources where
+    the focus is provably uncached or that are unreachable; every other row
+    is the table's.  `graph` is the projection the table was built from.
 
     The alphabet of younger sets is every block but the focus: `universe`,
     at positions `positions` of `blocks`.
@@ -175,7 +179,7 @@ def simplify_for(
     space: StateSpace,
     adj: Adjacency,
 ) -> FocusedModel:
-    """Shrink a projection to what can matter for the focused block.
+    """Shrink a projection to what can matter for the focused block, for export.
 
     An access edge whose source proves the focus uncached (may bound k) is
     relabeled to a no-access edge, unless it accesses the focus itself: from
@@ -185,7 +189,8 @@ def simplify_for(
     state ever reaches them.
 
     `may_fix` holds packed may states (see `ai`).  `adj` must be
-    `adjacency(g, space.blocks)` or its `skeleton`.
+    `adjacency(g, space.blocks)`: only the SMV export prunes, and it renders
+    the full table.
     """
     k = space.k
     focus_i = space.index_of(focus)

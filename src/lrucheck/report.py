@@ -16,7 +16,7 @@ from .cfg import CacheConfig, Cfg
 from .classify import ClassifyResult, Mode, OracleReport
 from .concrete import InitMode
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _VERDICT_KEYS = ["always-hit", "always-miss", "definitely-unknown", "unknown"]
 _PROVENANCE_KEYS = [
@@ -37,7 +37,6 @@ def build_report(
     mode: Mode,
     result: ClassifyResult,
     *,
-    simplify: bool = True,
     timings: bool = False,
     oracle: Optional[OracleReport] = None,
 ) -> dict:
@@ -75,7 +74,6 @@ def build_report(
             "block_size": config.block_size,
             "init": init.value,
             "mode": mode.value,
-            "simplify": simplify,
         },
         "accesses": accesses,
         "stats": {

@@ -39,10 +39,16 @@ from helpers import (
 )
 from lrucheck.ai import EXISTS_HIT, EXISTS_MISS, MAY, MUST
 from lrucheck.bench import GenSpec, generate
-from lrucheck.cfg import CacheConfig, block_universe, project
-from lrucheck.classify import Mode, Provenance, classify_all, verify_against_oracle
+from lrucheck.cfg import CacheConfig, accesses_of, block_universe, project, skeleton
+from lrucheck.classify import (
+    Mode,
+    Provenance,
+    abstract_phase,
+    classify_all,
+    verify_against_oracle,
+)
 from lrucheck.concrete import InitMode, StateSpace
-from lrucheck.focused import focused_reach, initial_focused
+from lrucheck.focused import focused_reach, initial_focused, simplify_for, unsimplified_model
 from lrucheck.verdict import Verdict
 
 INITS = (InitMode.EMPTY, InitMode.UNKNOWN)
@@ -80,14 +86,14 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def classified(corpus):
-    """Memoized classify_all over the corpus, keyed by mode, init, simplify."""
+    """Memoized classify_all over the corpus, keyed by mode and init."""
     cache: dict = {}
 
-    def run(i, mode, init, simplify=True):
-        key = (i, mode, init, simplify)
+    def run(i, mode, init):
+        key = (i, mode, init)
         if key not in cache:
             config, g = corpus[i]
-            cache[key] = classify_all(g, config, init, mode, simplify=simplify)
+            cache[key] = classify_all(g, config, init, mode)
         return cache[key]
 
     return run
@@ -473,18 +479,40 @@ def test_check_7_mode_equivalence(corpus, classified):
     assert ok, failures
 
 
-def test_check_8_simplification_safety(corpus, classified):
+def test_check_8_pruning_changes_no_search(corpus):
+    """The may-based pruning, kept for the SMV export, changes no focused search.
+
+    Per ai+mc residual block, on the full table and on the skeleton, with and
+    without the classification's goals, the `simplify_for` model's search
+    finds the same states, explores as many pairs and stops at the same point
+    as the `unsimplified_model` search the classification runs.
+    """
     t0 = time.perf_counter()
     failures = []
-    for i, (config, g) in enumerate(corpus):
-        for init in INITS:
-            plain = classified(i, Mode.AI_MC, init, simplify=False)
-            slim = classified(i, Mode.AI_MC, init, simplify=True)
-            if [(fv.access, fv.verdict) for fv in plain.verdicts] != [
-                (fv.access, fv.verdict) for fv in slim.verdicts
-            ]:
-                failures.append((g.name, init.value))
-    ok = _report(8, "graph simplification preserves every verdict",
+    for config, g in corpus:
+        k = config.associativity
+        for s in range(config.num_sets):
+            pg = project(g, s, config)
+            for init in INITS:
+                analysis = abstract_phase(pg, k, init, Mode.AI_MC, accesses_of(pg))
+                if not analysis.residual:
+                    continue
+                space = analysis.space
+                tables = (analysis.adj, skeleton(analysis.adj, pg.entry))
+                for block, group in analysis.residual_by_block().items():
+                    goals = [(c.access.src, c.exists_hit, c.exists_miss) for c in group]
+                    for table, goal_set in itertools.product(tables, (None, goals)):
+                        runs = []
+                        for model in (
+                            unsimplified_model(pg, block, space, table),
+                            simplify_for(pg, block, analysis.may, space, table),
+                        ):
+                            seeds = initial_focused(model.positions, k, init)
+                            r = focused_reach(model, seeds, goal_set)
+                            runs.append((r.states, r.explored, r.partial))
+                        if runs[0] != runs[1]:
+                            failures.append((g.name, s, init.value, block.index, goal_set))
+    ok = _report(8, "may-based pruning changes no focused search",
                  not failures, time.perf_counter() - t0, 300.0)
     assert ok, failures
 

@@ -27,7 +27,8 @@ LOOP_FLAGS = ["--assoc", "2", "--sets", "1", "--block-size", "8"]
 
 #: Reports of `analyze docs/examples/NAME.json` with LOOP_FLAGS and
 #: `--with-oracle`, per mode and initial cache, recorded before the abstract
-#: phase moved to two fixpoints over flat states.
+#: phase moved to two fixpoints over flat states; re-recorded when reports
+#: dropped `config.simplify` (schema version 2), with no other byte changed.
 GOLDEN = REPO / "tests" / "golden"
 
 
@@ -59,12 +60,12 @@ def miss_graph_file(tmp_path):
 def test_analyze_report_shape_and_schema(capsys):
     doc = analyze_loop(capsys)
     jsonschema.validate(doc, SCHEMA)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["tool"]["name"] == "lrucheck"
     assert doc["input"] == {"name": "loop", "vertices": 5, "edges": 5, "accesses": 2}
     assert doc["config"] == {
         "associativity": 2, "num_sets": 1, "block_size": 8,
-        "init": "empty", "mode": "ai+mc", "simplify": True,
+        "init": "empty", "mode": "ai+mc",
     }
     verdicts = {a["id"]: a["verdict"] for a in doc["accesses"]}
     assert verdicts == {
@@ -105,16 +106,13 @@ def test_analyze_timings_flag(capsys):
     assert doc["stats"]["timings_ms"]["ai"] > 0.0
 
 
-def test_analyze_no_simplify_and_modes(capsys, tmp_path):
+def test_analyze_modes_agree(capsys, tmp_path):
     path = miss_graph_file(tmp_path)
     docs = {}
     for mode in ("ai+mc", "mc-only", "ai+mc-no-du"):
-        code, out, err = run_cli(
-            capsys, "analyze", str(path), *LOOP_FLAGS, "--mode", mode, "--no-simplify"
-        )
+        code, out, err = run_cli(capsys, "analyze", str(path), *LOOP_FLAGS, "--mode", mode)
         assert code == 0
         docs[mode] = json.loads(out)
-    assert docs["ai+mc"]["config"]["simplify"] is False
     verdict_sets = {
         mode: {a["id"]: a["verdict"] for a in doc["accesses"]}
         for mode, doc in docs.items()
@@ -158,7 +156,9 @@ def test_golden_reports(capsys, example, mode, init):
         *LOOP_FLAGS, "--mode", mode, "--init", init, "--with-oracle",
     )
     assert code == 0
-    assert out == (GOLDEN / f"{example}.{mode}.{init}.json").read_text(encoding="utf-8")
+    golden = (GOLDEN / f"{example}.{mode}.{init}.json").read_text(encoding="utf-8")
+    jsonschema.validate(json.loads(golden), SCHEMA)
+    assert out == golden
 
 
 def test_oracle_runs_classify_once(capsys, monkeypatch, tmp_path):
@@ -301,6 +301,19 @@ def test_bench_unknown_mode(capsys, tmp_path):
     assert "unknown mode" in err
 
 
+def test_bench_repeated_mode(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    run_cli(capsys, "gen", "--outdir", str(corpus), "--count", "2")
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys, "bench", "--corpus", str(corpus), "--modes", "ai+mc,ai+mc,mc-only",
+        "--out", str(out_csv),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --modes names ai+mc more than once\n"
+    assert not out_csv.exists()
+
+
 def test_config_file_defaults_and_override(capsys, tmp_path):
     cfg = tmp_path / "defaults.conf"
     cfg.write_text(
@@ -327,6 +340,13 @@ def test_config_file_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", str(LOOP_JSON), "--config", str(bad_key))
     assert code == 2
     assert "unknown option" in err
+
+    # only export-smv prunes its models
+    no_simplify = tmp_path / "no_simplify.conf"
+    no_simplify.write_text("no-simplify = true\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(LOOP_JSON), "--config", str(no_simplify))
+    assert (code, out) == (2, "")
+    assert err == f"error: {no_simplify}:1: unknown option 'no-simplify'\n"
 
     # a key of a flag the subcommand does not read is unknown too
     unread_key = tmp_path / "smv.conf"
@@ -515,11 +535,11 @@ def test_gen_range_errors_are_usage_errors(capsys, tmp_path, flag, value):
 FLAG_SETS = {
     "analyze": {
         "--assoc", "--sets", "--block-size", "--init", "--budget-mc", "--budget-oracle",
-        "--config", "--mode", "--no-simplify", "--out", "--with-oracle", "--timings",
+        "--config", "--mode", "--out", "--with-oracle", "--timings",
     },
     "verify": {
         "--assoc", "--sets", "--block-size", "--init", "--budget-mc", "--budget-oracle",
-        "--config", "--mode", "--no-simplify", "--out",
+        "--config", "--mode", "--out",
     },
     "export-smv": {
         "--assoc", "--sets", "--block-size", "--init", "--config", "--mode", "--no-simplify",
@@ -531,7 +551,7 @@ FLAG_SETS = {
     },
     "bench": {
         "--corpus", "--modes", "--assoc", "--sets", "--block-size", "--init", "--budget-mc",
-        "--config", "--no-simplify", "--out", "--timings",
+        "--config", "--out", "--timings",
     },
 }
 
@@ -549,21 +569,46 @@ def test_subcommand_flag_sets():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, unread",
     [
-        ["export-smv", str(LOOP_JSON), "--budget-mc", "5"],
-        ["export-smv", str(LOOP_JSON), "--budget-oracle", "5"],
-        ["bench", "--corpus", str(LOOP_JSON.parent), "--budget-oracle", "5"],
-        ["gen", "--sets", "8"],
+        (["export-smv", str(LOOP_JSON)], ["--budget-mc", "5"]),
+        (["export-smv", str(LOOP_JSON)], ["--budget-oracle", "5"]),
+        (["bench", "--corpus", str(LOOP_JSON.parent)], ["--budget-oracle", "5"]),
+        (["gen"], ["--sets", "8"]),
+        (["analyze", str(LOOP_JSON)], ["--no-simplify"]),
+        (["verify", str(LOOP_JSON)], ["--no-simplify"]),
+        (["bench", "--corpus", str(LOOP_JSON.parent)], ["--no-simplify"]),
     ],
-    ids=["export-smv-budget-mc", "export-smv-budget-oracle", "bench-budget-oracle", "gen-sets"],
+    ids=["export-smv-budget-mc", "export-smv-budget-oracle", "bench-budget-oracle", "gen-sets",
+         "analyze-no-simplify", "verify-no-simplify", "bench-no-simplify"],
 )
-def test_flags_a_subcommand_does_not_read_are_rejected(capsys, tmp_path, monkeypatch, argv):
+def test_flags_a_subcommand_does_not_read_are_rejected(
+    capsys, tmp_path, monkeypatch, argv, unread
+):
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, *argv, *unread)
+    assert (code, out) == (2, "")
+    assert err == f"error: unrecognized arguments: {' '.join(unread)}\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--gen-vertices", "x"], "argument --gen-vertices: invalid int value: 'x'"),
+        (["analyze", "x.json", "--assoc", "x"], "argument --assoc: invalid int value: 'x'"),
+        (["analyze", "x.json", "--mode", "warp"], "argument --mode: invalid choice: 'warp'"),
+        (["verify"], "the following arguments are required: input"),
+        (["analyze", "x.json", "--warp"], "unrecognized arguments: --warp"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_argparse_usage_errors_are_one_line(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert os.listdir(tmp_path) == []
 
 
@@ -609,9 +654,11 @@ def test_bad_log_level_is_usage_error(capsys, monkeypatch):
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "frobnicate")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: argument command: invalid choice: 'frobnicate'")
+    assert err.count("\n") == 1
 
 
 def test_module_entry_point():

@@ -51,6 +51,8 @@ from lrucheck.focused import (
     check_access,
     focused_reach,
     initial_focused,
+    simplify_for,
+    unsimplified_model,
 )
 from lrucheck.verdict import Verdict
 
@@ -177,6 +179,13 @@ def search_cases():
     return programs
 
 
+def set_model(analysis, focus, pruned, table):
+    """The focus's model over `table`, may-pruned by `simplify_for` when `pruned`."""
+    if pruned:
+        return simplify_for(analysis.graph, focus, analysis.may, analysis.space, table)
+    return unsimplified_model(analysis.graph, focus, analysis.space, table)
+
+
 @pytest.mark.parametrize("init", list(InitMode))
 def test_mask_search_matches_reference_search(init):
     for name, config, g in search_cases():
@@ -190,7 +199,7 @@ def test_mask_search_matches_reference_search(init):
             residual = analysis.residual_by_block()
             for simplified in (False, True):
                 for focus in space.blocks:
-                    model = analysis.model(focus, simplified, analysis.adj)
+                    model = set_model(analysis, focus, simplified, analysis.adj)
                     if simplified:
                         may = unpack_fixpoint(MAY, analysis.may, space)
                         edges = reference_simplified_edges(pg, focus, may, k, space)
@@ -229,6 +238,20 @@ def skeleton_cases():
     return programs
 
 
+def goal_cases(analysis):
+    """Per block of an ai+mc set analysis, the goal checks to search it with.
+
+    None (no goals); the ai+mc checks, the block's residual accesses with
+    their known halves, unless there are none; and last the mc-only checks,
+    every access to the block with nothing known.
+    """
+    residual = analysis.residual_by_block()
+    for focus in analysis.space.blocks:
+        checks = [(a, False, False) for a in analysis.accesses if a.block == focus]
+        checks_ai = [(c.access, c.exists_hit, c.exists_miss) for c in residual.get(focus, [])]
+        yield focus, [None] + [gs for gs in (checks_ai, checks) if gs]
+
+
 def refutations(reach, goals):
     """The goals' refuting (source, state kind) pairs that a search has met.
 
@@ -257,38 +280,63 @@ def test_skeleton_search_matches_raw_search(init):
             table = skeleton(analysis.adj, pg.entry)
             kept = analysis.adj.accessing | {pg.entry}
             assert table.succ.keys() == kept
-            residual = analysis.residual_by_block()
-            for simplified in (False, True):
-                for focus in analysis.space.blocks:
-                    raw_model = analysis.model(focus, simplified, analysis.adj)
-                    skel_model = analysis.model(focus, simplified, table)
-                    seeds = initial_focused(raw_model.positions, k, init)
-                    # ai+mc goals with their known halves, and mc-only goals
-                    # (nothing known) for every access to the focus.
-                    checks = [(a, False, False) for a in analysis.accesses if a.block == focus]
-                    checks_ai = [
-                        (c.access, c.exists_hit, c.exists_miss) for c in residual.get(focus, [])
-                    ]
-                    for goal_checks in (None, checks_ai, checks):
-                        if goal_checks == []:
-                            continue
+            space = analysis.space
+            for focus, goal_sets in goal_cases(analysis):
+                raw_model = unsimplified_model(pg, focus, space, analysis.adj)
+                skel_model = unsimplified_model(pg, focus, space, table)
+                seeds = initial_focused(raw_model.positions, k, init)
+                for goal_checks in goal_sets:
+                    goals = None
+                    if goal_checks is not None:
+                        goals = [(a.src, eh, em) for a, eh, em in goal_checks]
+                    raw = focused_reach(raw_model, seeds, goals)
+                    got = focused_reach(skel_model, seeds, goals)
+                    case = (name, s, focus, init, goals)
+                    assert got.partial == raw.partial, case
+                    if raw.partial:
+                        assert refutations(got, goals) == refutations(raw, goals), case
+                    else:
+                        assert got.states == {v: raw.states[v] for v in kept}, case
+                        assert got.explored <= raw.explored, case
+                    checks = goal_checks or goal_sets[-1]
+                    for a, eh, em in checks:
+                        if raw.partial or not (eh and em):
+                            assert check_access(got, a, eh, em) == check_access(
+                                raw, a, eh, em
+                            ), case
+
+
+@pytest.mark.parametrize("init", list(InitMode))
+def test_pruned_search_matches_plain_search(init):
+    """May-based pruning changes no search, which is why the classification skips it.
+
+    On the full table and on the skeleton, with no goals, ai+mc goals and
+    mc-only goals, a search of the `simplify_for` model finds the same states
+    at every vertex as one of the `unsimplified_model` model, after exploring
+    as many pairs, and stops at the same point.
+    """
+    for name, config, g in search_cases() + skeleton_cases():
+        k = config.associativity
+        for s in range(config.num_sets):
+            pg = project(g, s, config)
+            analysis = abstract_phase(pg, k, init, Mode.AI_MC, accesses_of(pg))
+            if not analysis.accesses:
+                continue
+            tables = {"full": analysis.adj, "skeleton": skeleton(analysis.adj, pg.entry)}
+            for focus, goal_sets in goal_cases(analysis):
+                for table_name, table in tables.items():
+                    plain = set_model(analysis, focus, False, table)
+                    pruned = set_model(analysis, focus, True, table)
+                    seeds = initial_focused(plain.positions, k, init)
+                    for goal_checks in goal_sets:
                         goals = None
                         if goal_checks is not None:
                             goals = [(a.src, eh, em) for a, eh, em in goal_checks]
-                        raw = focused_reach(raw_model, seeds, goals)
-                        got = focused_reach(skel_model, seeds, goals)
-                        case = (name, s, focus, init, simplified, goals)
-                        assert got.partial == raw.partial, case
-                        if raw.partial:
-                            assert refutations(got, goals) == refutations(raw, goals), case
-                        else:
-                            assert got.states == {v: raw.states[v] for v in kept}, case
-                            assert got.explored <= raw.explored, case
-                        for a, eh, em in goal_checks or checks:
-                            if raw.partial or not (eh and em):
-                                assert check_access(got, a, eh, em) == check_access(
-                                    raw, a, eh, em
-                                ), case
+                        want = focused_reach(plain, seeds, goals)
+                        got = focused_reach(pruned, seeds, goals)
+                        case = (name, s, focus, table_name, goals)
+                        assert got.states == want.states, case
+                        assert (got.explored, got.partial) == (want.explored, want.partial), case
 
 
 def test_initial_focused_unknown_count():

@@ -110,8 +110,16 @@ def test_traced_ai_mc_reports_model_and_check_times(tracing):
     assert "focused.model_s" in summary
     assert "focused.check_s" in summary
     calls = [sp.name for sp in tracer.spans]
-    assert calls.count("focused.simplify_for") == 2
+    assert calls.count("focused.unsimplified_model") == 2
+    assert calls.count("focused.simplify_for") == 0
     assert calls.count("focused.check_access") == 2
+
+
+def test_traced_export_smv_reports_model_time(tracing, tmp_path):
+    tracer = traced_main(tracing, ["export-smv", *LOOP_ARGS, "--outdir", str(tmp_path)])
+    assert "focused.model_s" in tracer.summary(passes=1)
+    calls = [sp.name for sp in tracer.spans]
+    assert calls.count("focused.simplify_for") == 2
 
 
 def test_traced_verify_reports_oracle_metrics(tracing):
