@@ -108,15 +108,21 @@ Fixpoint = dict[str, Optional[int]]
 def fixpoint(
     domain: Domain, g: AnyCfg, space: StateSpace, init: InitMode, adj: Adjacency
 ) -> Fixpoint:
-    """Least fixpoint of a domain over a graph.
+    """Least fixpoint of a domain over a successor table of a graph.
 
-    Entry starts at the domain's seed, every other vertex at BOTTOM.  Access
-    edges apply the domain transfer, no-access edges propagate unchanged, and
-    joins accumulate at edge targets.  Vertices are visited in reverse
-    post-order with FIFO re-queuing, so an acyclic graph converges in one
+    The vertices are those of the table, `adj.succ`: every vertex of `g` for
+    its `adjacency`, the entry and the access sources for its `skeleton`,
+    which the classification runs on.  Entry starts at the domain's seed,
+    every other vertex at BOTTOM.  Access edges apply the domain transfer,
+    no-access edges propagate unchanged, and joins accumulate at edge
+    targets.  Vertices are visited in the table's reverse post-order,
+    `adj.order` (for a skeleton, the program's order restricted to the kept
+    vertices), with FIFO re-queuing, so an acyclic graph converges in one
     sweep.  The transfer reads the carried bound, so it is not monotone and
-    the result depends on this order.  Unreachable vertices stay BOTTOM.
-    `adj` must be `adjacency(g, space.blocks)`.
+    the result depends on this order and on the table: every order is sound.
+    Must and may are monotone, so their skeleton fixpoint equals the full
+    one at every kept vertex.  Unreachable vertices stay BOTTOM.  `adj` must
+    be built over `space.blocks`.
     """
     k = space.k
     n = len(space.blocks)
@@ -143,7 +149,7 @@ def fixpoint(
     flip = (values if domain.lower else 0) ^ (own if domain.paired else 0)
 
     succ = adj.succ
-    state: Fixpoint = dict.fromkeys(g.vertices)
+    state: Fixpoint = dict.fromkeys(succ)
     state[g.entry] = domain.seed(space, init)
     work = deque(adj.order)
     queued = set(adj.order)

@@ -27,6 +27,7 @@ from .cfg import CacheConfig, Cfg, parse_cfg
 from .classify import ClassifyResult, Mode, Provenance, classify_all
 from .concrete import InitMode
 from .focused import DEFAULT_MC_BUDGET, FocusedCapacityError
+from .report import dumps_indented
 
 log = logging.getLogger(__name__)
 
@@ -175,7 +176,7 @@ def generate_json(spec: GenSpec, config: CacheConfig = DEFAULT_CONFIG, name: Opt
     The document is written as built, without parsing it; only the block
     size of `config` is read.  Raises GenError like `generate`.
     """
-    return json.dumps(_document(spec, config, name), indent=2) + "\n"
+    return dumps_indented(_document(spec, config, name)) + "\n"
 
 
 @dataclass(frozen=True)

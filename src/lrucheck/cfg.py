@@ -328,8 +328,9 @@ class Adjacency:
 
     `succ[v]` lists `(dst, i)` per outgoing edge of v in edge order, where i is
     the accessed block's position in the universe the map was built for, or -1
-    for a no-access edge.  `order` is the reverse post-order.  `accessing`
-    holds the vertices with at least one outgoing access edge.
+    for a no-access edge.  `order` is the reverse post-order of the vertices
+    of `succ`.  `accessing` holds the vertices with at least one outgoing
+    access edge.
     """
 
     succ: dict[str, tuple[tuple[str, int], ...]]
@@ -337,8 +338,13 @@ class Adjacency:
     accessing: frozenset[str]
 
 
-def adjacency(g: AnyCfg, blocks: Sequence[MemoryBlock]) -> Adjacency:
-    """Build the Adjacency of a graph over the block universe `blocks`."""
+def adjacency(g: AnyCfg, blocks: Sequence[MemoryBlock], order: Sequence[str]) -> Adjacency:
+    """Build the Adjacency of a graph over the block universe `blocks`.
+
+    `order` must be the graph's `reverse_post_order`.  A projection only
+    drops no-access self-loops, which a depth-first search never follows, so
+    the program's order serves every one of its projections.
+    """
     adj = out_edges(g)
     position = {b: i for i, b in enumerate(blocks)}
     succ = {}
@@ -349,9 +355,7 @@ def adjacency(g: AnyCfg, blocks: Sequence[MemoryBlock]) -> Adjacency:
             if e.block is not None:
                 accessing.append(v)
                 break
-    return Adjacency(
-        succ=succ, order=tuple(reverse_post_order(g, adj)), accessing=frozenset(accessing)
-    )
+    return Adjacency(succ=succ, order=tuple(order), accessing=frozenset(accessing))
 
 
 def skeleton(adj: Adjacency, entry: str) -> Adjacency:

@@ -6,10 +6,14 @@ search per remaining block.  The abstract exists-hit/exists-miss information
 both filters out accesses that are provably undecidable (no point model
 checking them) and halves the work for the rest.
 
-The abstract fixpoints run on the set's full successor table, because the
-exists domains depend on the order they visit it in.  The focused searches
-run on its access skeleton (`cfg.skeleton`), built once per set, as it is:
-the may-based pruning of `focused.simplify_for` relabels only rows whose
+Both phases run on the set's access skeleton (`cfg.skeleton`): the entry
+and the access sources, the only vertices either phase reads, with each
+chain of no-access edges contracted.  It is built once per set from the
+program's reverse post-order, computed once per program.  Must and may reach
+the same bounds there as on the full successor table; the exists domains,
+whose transfer is not monotone, reach sound bounds that may differ (see
+`ai.fixpoint`).  The focused searches use the skeleton as it is: the
+may-based pruning of `focused.simplify_for` relabels only rows whose
 reachable focused states are all epsilon, so it cannot change what an
 explicit search explores, and only the SMV export applies it.
 """
@@ -45,6 +49,7 @@ from .cfg import (
     adjacency,
     block_universe,
     project,
+    reverse_post_order,
     skeleton,
 )
 from .concrete import (
@@ -194,11 +199,11 @@ class SetAnalysis:
     """The abstract phase of one cache set, and what the focused phase needs of it.
 
     `settled` holds the accesses the abstract domains decide; `residual` the
-    rest, in access order, with the existential halves already known.  `may`
-    is the per-vertex may fixpoint, None in mc-only mode; only the SMV
-    export's pruning (`focused.simplify_for`) reads it.  `adj` is the
-    graph's successor table over `space.blocks`, None when nothing is
-    accessed.
+    rest, in access order, with the existential halves already known.  `adj`
+    is the skeleton of the graph's successor table over `space.blocks`, which
+    both phases run on, None when nothing is accessed.  `may` is the may
+    fixpoint at its vertices, None in mc-only mode; only the SMV export's
+    pruning (`focused.simplify_for`) reads it.
     """
 
     graph: ProjectedCfg
@@ -218,19 +223,25 @@ class SetAnalysis:
 
 
 def abstract_phase(
-    pg: ProjectedCfg, k: int, init: InitMode, mode: Mode, accesses: list[AccessId]
+    pg: ProjectedCfg,
+    k: int,
+    init: InitMode,
+    mode: Mode,
+    accesses: list[AccessId],
+    order: tuple[str, ...],
 ) -> SetAnalysis:
-    """Run the abstract domains of `mode` over one projected graph.
+    """Run the abstract domains of `mode` over one projected graph's skeleton.
 
-    `accesses` must be `accesses_of(pg)` (see `accesses_by_set`).  ai+mc and
-    ai-only run exists-hit and exists-miss only: their carried halves are the
-    must and may fixpoints.  ai+mc-no-du runs must and may.  mc-only runs
-    nothing and leaves every access residual.  Every mode builds the
-    successor table the fixpoints and the focused search share.
+    `accesses` must be `accesses_of(pg)` (see `accesses_by_set`), and `order`
+    the program's `reverse_post_order`.  ai+mc and ai-only run exists-hit and
+    exists-miss only: their carried halves are the must and may fixpoints.
+    ai+mc-no-du runs must and may.  mc-only runs nothing and leaves every
+    access residual.  Every mode builds the skeleton the fixpoints and the
+    focused search share.
     """
     space = StateSpace(k=k, blocks=block_universe(pg))
     settled: dict[AccessId, FinalVerdict] = {}
-    adj = adjacency(pg, space.blocks) if accesses else None
+    adj = skeleton(adjacency(pg, space.blocks, order), pg.entry) if accesses else None
     if mode is Mode.MC_ONLY or not accesses:
         residual = [AiClassification(a, None, False, False) for a in accesses]
         return SetAnalysis(pg, space, accesses, settled, residual, None, adj)
@@ -275,10 +286,11 @@ def _classify_set(
     mode: Mode,
     mc_budget: int,
     accesses: list[AccessId],
+    order: tuple[str, ...],
 ) -> tuple[dict[AccessId, FinalVerdict], PhaseStats, StateSpace]:
     stats = PhaseStats()
     t0 = time.perf_counter()
-    analysis = abstract_phase(pg, k, init, mode, accesses)
+    analysis = abstract_phase(pg, k, init, mode, accesses, order)
     if not analysis.accesses:
         return {}, stats, analysis.space
     results = dict(analysis.settled)
@@ -291,9 +303,8 @@ def _classify_set(
                 c.access, pg.set_index, None, Provenance.UNRESOLVED, c.exists_hit, c.exists_miss
             )
     elif analysis.residual:
-        table = skeleton(analysis.adj, pg.entry)
         for block, group in analysis.residual_by_block().items():
-            model = unsimplified_model(pg, block, analysis.space, table)
+            model = unsimplified_model(pg, block, analysis.space, analysis.adj)
             seeds = initial_focused(model.positions, k, init)
             goals = [(c.access.src, c.exists_hit, c.exists_miss) for c in group]
             reach = focused_reach(model, seeds, goals, budget=mc_budget)
@@ -343,13 +354,14 @@ def classify_all(
     order.
     """
     accesses, by_set = accesses_by_set(g, config.num_sets)
+    order = tuple(reverse_post_order(g))
     merged: dict[AccessId, FinalVerdict] = {}
     stats = PhaseStats()
     sets: list[tuple[ProjectedCfg, StateSpace]] = []
     for s in range(config.num_sets):
         pg = project(g, s, config)
         results, set_stats, space = _classify_set(
-            pg, config.associativity, init, mode, mc_budget, by_set[s]
+            pg, config.associativity, init, mode, mc_budget, by_set[s], order
         )
         merged.update(results)
         stats.absorb(set_stats)

@@ -28,7 +28,7 @@ from .bench import (
     summarize,
     write_csv,
 )
-from .cfg import CacheConfig, CfgParseError, load_cfg, project
+from .cfg import CacheConfig, CfgParseError, adjacency, load_cfg, project, reverse_post_order
 from .classify import Mode, abstract_phase, accesses_by_set, classify_all, verify_against_oracle
 from .concrete import DEFAULT_ORACLE_BUDGET, InitMode
 from .focused import DEFAULT_MC_BUDGET, export_smv, simplify_for, smv_filename, unsimplified_model
@@ -163,6 +163,11 @@ def _load_config_file(path: str, sub: argparse.ArgumentParser) -> dict:
     return overrides
 
 
+#: Spellings of a boolean config value, in any case.
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _coerce_config_values(sub: argparse.ArgumentParser, overrides: dict) -> dict:
     coerced = {}
     for action in sub._actions:
@@ -176,7 +181,10 @@ def _coerce_config_values(sub: argparse.ArgumentParser, overrides: dict) -> dict
                         f"config option {action.dest}: bad value {raw!r}"
                     ) from exc
             elif isinstance(action.const, bool) or isinstance(action.default, bool):
-                coerced[action.dest] = raw.lower() in ("1", "true", "yes", "on")
+                value = _BOOLEANS.get(raw.lower())
+                if value is None:
+                    raise CfgParseError(f"config option {action.dest}: bad value {raw!r}")
+                coerced[action.dest] = value
             else:
                 coerced[action.dest] = raw
             if action.choices and coerced[action.dest] not in action.choices:
@@ -281,12 +289,16 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
     written: list[str] = []
     known_blocks: set[int] = set()
     _, by_set = accesses_by_set(g, config.num_sets)
+    order = tuple(reverse_post_order(g))
     for s in range(config.num_sets):
         pg = project(g, s, config)
-        analysis = abstract_phase(pg, config.associativity, init, mode, by_set[s])
+        analysis = abstract_phase(pg, config.associativity, init, mode, by_set[s], order)
         if not analysis.accesses:
             continue
         known_blocks.update(b.index for b in analysis.space.blocks)
+        # The models render every edge, so they take the full table, not
+        # the skeleton the analysis ran on.
+        table = adjacency(pg, analysis.space.blocks, order)
 
         if args.block is not None:
             targets_by_block: dict = {}
@@ -301,9 +313,9 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
 
         for block, targets in targets_by_block.items():
             if args.no_simplify or analysis.may is None:
-                model = unsimplified_model(pg, block, analysis.space, analysis.adj)
+                model = unsimplified_model(pg, block, analysis.space, table)
             else:
-                model = simplify_for(pg, block, analysis.may, analysis.space, analysis.adj)
+                model = simplify_for(pg, block, analysis.may, analysis.space, table)
             text = export_smv(model, init, targets)
             path = os.path.join(args.outdir, smv_filename(g.name, s, block))
             with open(path, "w", encoding="utf-8") as fh:

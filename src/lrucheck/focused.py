@@ -11,9 +11,9 @@ Explicit-state breadth-first search over (vertex, focused state) pairs then
 answers always-hit and always-miss questions about `a` precisely.
 
 A model (`FocusedModel`) is a cache set's successor table plus one focus.
-Neither constructor builds the table or the state space: callers pass the
-ones the abstract phase already built.  The classification searches
-`unsimplified_model` over the set's access skeleton (`cfg.skeleton`): the
+Neither constructor builds the table or the state space: callers pass them.
+The classification searches `unsimplified_model` over the set's access
+skeleton (`cfg.skeleton`) that its abstract phase already ran on: the
 entry and the access sources, with every chain of no-access edges between
 them contracted to one edge.  A focused state changes only on access edges
 and is read only at access sources, so the skeleton search finds the same
@@ -166,8 +166,8 @@ def unsimplified_model(
 ) -> FocusedModel:
     """Focused model over the raw projection.
 
-    `space.blocks` must be `block_universe(g)` and `adj` must be
-    `adjacency(g, space.blocks)` or its `skeleton`.
+    `space.blocks` must be `block_universe(g)` and `adj` must be `g`'s
+    `adjacency` over `space.blocks` or its `skeleton`.
     """
     return FocusedModel(graph=g, focus=focus, k=space.k, blocks=space.blocks, succ=adj.succ)
 
@@ -188,9 +188,10 @@ def simplify_for(
     unreachable vertices (BOTTOM in the may fixpoint) are relabeled too; no
     state ever reaches them.
 
-    `may_fix` holds packed may states (see `ai`).  `adj` must be
-    `adjacency(g, space.blocks)`: only the SMV export prunes, and it renders
-    the full table.
+    `may_fix` holds packed may states (see `ai`) at least at the access
+    sources, so a skeleton fixpoint serves.  `adj` must be `g`'s full
+    `adjacency` over `space.blocks`: only the SMV export prunes, and it
+    renders the full table.
     """
     k = space.k
     focus_i = space.index_of(focus)

@@ -9,6 +9,7 @@ the same bytes.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import __version__
@@ -115,4 +116,52 @@ def _oracle_section(oracle: Optional[OracleReport]) -> Optional[dict]:
 
 
 def render_report(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    return dumps_indented(doc) + "\n"
+
+
+#: Encoders of JSON scalars by exact type, as `json.dumps` writes them.
+_SCALAR = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: json.dumps,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda v: "null",
+}
+
+
+def dumps_indented(doc: object) -> str:
+    """`json.dumps(doc, indent=2)`, byte for byte, for documents with string keys.
+
+    With `indent`, the json module runs its pure-Python encoder.  This writer
+    encodes each scalar with the C encoder's primitives and joins each
+    container's items once.  Other types go to `json.dumps` as they are:
+    subclasses of the scalars encode as their base, and anything else raises
+    its TypeError.
+    """
+    return _indented(doc, "\n")
+
+
+def _indented(doc: object, nl: str) -> str:
+    """`dumps_indented` of a value whose own lines start with `nl`."""
+    scalar = _SCALAR.get(type(doc))
+    if scalar is not None:
+        return scalar(doc)
+    inner = nl + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = []
+        for key, value in doc.items():
+            scalar = _SCALAR.get(type(value))
+            text = scalar(value) if scalar is not None else _indented(value, inner)
+            items.append(encode_basestring_ascii(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        items = []
+        for value in doc:
+            scalar = _SCALAR.get(type(value))
+            items.append(scalar(value) if scalar is not None else _indented(value, inner))
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    return json.dumps(doc)

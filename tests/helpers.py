@@ -24,12 +24,14 @@ from lrucheck.cfg import (
     Cfg,
     Edge,
     MemoryBlock,
+    accesses_of,
     adjacency,
     block_universe,
     out_edges,
     parse_cfg,
     reverse_post_order,
 )
+from lrucheck.classify import abstract_phase
 from lrucheck.concrete import InitMode, StateSpace
 from lrucheck.focused import EPSILON_MASK, simplify_for, unsimplified_model
 
@@ -96,20 +98,30 @@ def space_for(n_blocks, k) -> StateSpace:
     return StateSpace(k=k, blocks=blocks_for(n_blocks))
 
 
+def full_table(g, blocks):
+    """`cfg.adjacency` of a graph over `blocks`, in the graph's own order."""
+    return adjacency(g, blocks, reverse_post_order(g))
+
+
+def analyze_set(pg, k, init, mode):
+    """`classify.abstract_phase` of one projection, its accesses and order built here."""
+    return abstract_phase(pg, k, init, mode, accesses_of(pg), tuple(reverse_post_order(pg)))
+
+
 def raw_model(pg, focus, k):
     """`unsimplified_model` over the projection's own state space and successor table."""
     space = StateSpace(k=k, blocks=block_universe(pg))
-    return unsimplified_model(pg, focus, space, adjacency(pg, space.blocks))
+    return unsimplified_model(pg, focus, space, full_table(pg, space.blocks))
 
 
 def solve(domain, pg, space, init=InitMode.EMPTY):
-    """`ai.fixpoint` of `domain`, with the successor table built here."""
-    return fixpoint(domain, pg, space, init, adjacency(pg, space.blocks))
+    """`ai.fixpoint` of `domain` over the full successor table, built here."""
+    return fixpoint(domain, pg, space, init, full_table(pg, space.blocks))
 
 
 def pruned_model(pg, focus, may, space):
     """`simplify_for` with the successor table built here."""
-    return simplify_for(pg, focus, may, space, adjacency(pg, space.blocks))
+    return simplify_for(pg, focus, may, space, full_table(pg, space.blocks))
 
 
 # --- concrete semantics: the age-vector specification ------------------------
@@ -366,16 +378,18 @@ def spec_carried(fix):
     return {v: None if s is None else s[len(s) >> 1:] for v, s in fix.items()}
 
 
-def reference_fixpoint(domain, g, space, init):
+def reference_fixpoint(domain, g, space, init, adj=None):
     """A spec domain's fixpoint, visiting vertices exactly as `ai.fixpoint` does.
 
-    Entry starts at the seed, every other vertex at None; reverse post-order
-    with FIFO re-queuing, successors in edge order, the join applied as
-    join(old, moved).  The exists transfers are not monotone, so the order is
-    part of the specification.
+    Over the successor table `adj` (default: the full table of `g`), whose
+    vertices it covers.  Entry starts at the seed, every other vertex at
+    None; the table's order with FIFO re-queuing, successors in edge order,
+    the join applied as join(old, moved).  The exists transfers are not
+    monotone, so the order is part of the specification.
     """
-    adj = adjacency(g, space.blocks)
-    state = dict.fromkeys(g.vertices)
+    if adj is None:
+        adj = full_table(g, space.blocks)
+    state = dict.fromkeys(adj.succ)
     state[g.entry] = domain.seed(space, init)
     work = deque(adj.order)
     queued = set(adj.order)
@@ -479,6 +493,18 @@ def corpus_programs(count, base_seed=0, sets=1, block=8):
         g = generate(spec, config, name=f"gen{spec.seed}")
         out.append((g.name, config, g))
     return out
+
+
+def search_cases():
+    """Corpus programs of both set counts plus four 120-vertex loop programs."""
+    from lrucheck.bench import GenSpec, generate
+
+    programs = corpus_programs(30, base_seed=300, sets=None)
+    config = CacheConfig(associativity=4, num_sets=2, block_size=8)
+    for seed in range(4):
+        spec = GenSpec(vertices=120, loops=12, depth=3, blocks=10, seed=seed)
+        programs.append((f"loops{seed}", config, generate(spec, config)))
+    return programs
 
 
 # --- focused states: the frozenset reference, and masks against it -------------

@@ -21,8 +21,10 @@ from helpers import (
     EPSILON,
     all_states,
     alpha_focus,
+    analyze_set,
     cfg_text,
     decoded_states,
+    full_table,
     join_eh,
     join_em,
     loop_cfg,
@@ -39,11 +41,10 @@ from helpers import (
 )
 from lrucheck.ai import EXISTS_HIT, EXISTS_MISS, MAY, MUST
 from lrucheck.bench import GenSpec, generate
-from lrucheck.cfg import CacheConfig, accesses_of, block_universe, project, skeleton
+from lrucheck.cfg import CacheConfig, block_universe, project
 from lrucheck.classify import (
     Mode,
     Provenance,
-    abstract_phase,
     classify_all,
     verify_against_oracle,
 )
@@ -494,11 +495,11 @@ def test_check_8_pruning_changes_no_search(corpus):
         for s in range(config.num_sets):
             pg = project(g, s, config)
             for init in INITS:
-                analysis = abstract_phase(pg, k, init, Mode.AI_MC, accesses_of(pg))
+                analysis = analyze_set(pg, k, init, Mode.AI_MC)
                 if not analysis.residual:
                     continue
                 space = analysis.space
-                tables = (analysis.adj, skeleton(analysis.adj, pg.entry))
+                tables = (full_table(pg, space.blocks), analysis.adj)
                 for block, group in analysis.residual_by_block().items():
                     goals = [(c.access.src, c.exists_hit, c.exists_miss) for c in group]
                     for table, goal_set in itertools.product(tables, (None, goals)):

@@ -17,6 +17,7 @@ from helpers import (
     corpus_programs,
     em_holds,
     eh_holds,
+    full_table,
     gamma_may,
     gamma_must,
     join_eh,
@@ -27,6 +28,7 @@ from helpers import (
     nonempty_subsets,
     pack,
     reference_fixpoint,
+    search_cases,
     small_config,
     solve,
     space_for,
@@ -50,8 +52,8 @@ from lrucheck.ai import (
     fixpoint,
 )
 from lrucheck.bench import GenSpec, generate
-from lrucheck.cfg import Cfg, CacheConfig, Edge, accesses_of, adjacency, block_universe, project
-from lrucheck.concrete import InitMode, StateSpace
+from lrucheck.cfg import Cfg, CacheConfig, Edge, accesses_of, block_universe, project, skeleton
+from lrucheck.concrete import InitMode, StateSpace, collecting_semantics
 from lrucheck.verdict import Verdict
 
 DOMAINS = (MUST, MAY, EXISTS_HIT, EXISTS_MISS)
@@ -348,7 +350,7 @@ def test_fixpoint_single_sweep_on_dag(k2_config, straight2):
         assert len(calls) == transfers
         # The packed engine visits every vertex once: each successor row is
         # read once.
-        adj = adjacency(pg, space.blocks)
+        adj = full_table(pg, space.blocks)
         rows = CountingRows(adj.succ)
         for d in DOMAINS:
             rows.reads.clear()
@@ -478,7 +480,7 @@ def edge_graph(n, k, accesses):
     space = space_for(n, k)
     edges = tuple(Edge("e", None if i < 0 else space.blocks[i], "t") for i in accesses)
     g = Cfg(entry="e", vertices=("e", "t"), edges=edges)
-    return g, space, adjacency(g, space.blocks)
+    return g, space, full_table(g, space.blocks)
 
 
 def packed_at_t(domain, n, k, s, accesses):
@@ -568,14 +570,90 @@ def fixpoint_programs():
 
 @pytest.mark.parametrize("init", list(InitMode), ids=str)
 def test_packed_fixpoint_equals_reference(init):
-    # Same states at every vertex, for every domain: the packed engine keeps
-    # the reference's visit order, which the non-monotone exists transfers
-    # depend on.
+    # Same states at every vertex, for every domain, on the full table and
+    # on its skeleton: the packed engine keeps the reference's visit order,
+    # which the non-monotone exists transfers depend on.
     for name, config, g in fixpoint_programs():
         for s in range(config.num_sets):
             pg = project(g, s, config)
             space = StateSpace(k=config.associativity, blocks=block_universe(pg))
-            adj = adjacency(pg, space.blocks)
-            for d in DOMAINS:
-                got = unpack_fixpoint(d, fixpoint(d, pg, space, init, adj), space)
-                assert got == reference_fixpoint(SPEC[d.name], pg, space, init), (name, s, d.name)
+            full = full_table(pg, space.blocks)
+            for adj in (full, skeleton(full, pg.entry)):
+                for d in DOMAINS:
+                    got = unpack_fixpoint(d, fixpoint(d, pg, space, init, adj), space)
+                    want = reference_fixpoint(SPEC[d.name], pg, space, init, adj)
+                    assert got == want, (name, s, d.name, len(adj.succ))
+
+
+def check_skeleton_fixpoints(pg, space, init):
+    """The abstract phase's fixpoints on the skeleton, against the full table and the oracle.
+
+    Must and may are monotone: on the skeleton they equal the full-table
+    fixpoints at every kept vertex.  The exists domains are not, so their
+    skeleton bounds may differ; each must still be sound, checked against
+    the exact reachable states: the own bound of exists-hit is at least the
+    smallest age of its block there, that of exists-miss at most the largest.
+    """
+    k, n = space.k, len(space.blocks)
+    full = full_table(pg, space.blocks)
+    table = skeleton(full, pg.entry)
+    for d in (MUST, MAY):
+        want = fixpoint(d, pg, space, init, full)
+        got = fixpoint(d, pg, space, init, table)
+        assert got == {v: want[v] for v in table.succ}, d.name
+    eh = fixpoint(EXISTS_HIT, pg, space, init, table)
+    em = fixpoint(EXISTS_MISS, pg, space, init, table)
+    assert carried(eh, space) == fixpoint(MUST, pg, space, init, table)
+    assert carried(em, space) == fixpoint(MAY, pg, space, init, table)
+    reach = collecting_semantics(pg, space, init)
+    eh_bounds = unpack_fixpoint(EXISTS_HIT, eh, space)
+    em_bounds = unpack_fixpoint(EXISTS_MISS, em, space)
+    for v in table.succ:
+        states = reach[v]
+        assert (eh[v] is None) == (em[v] is None) == (not states), v
+        if not states:
+            continue
+        for i in range(n):
+            ages = [q.index(i) if i in q else k for q in states]
+            assert min(ages) <= eh_bounds[v][i], (v, i)
+            assert max(ages) >= em_bounds[v][i], (v, i)
+
+
+@pytest.mark.parametrize("init", list(InitMode), ids=str)
+def test_skeleton_fixpoints_on_search_cases(init):
+    # Each program at its own associativity and at k = 8.
+    for name, config, g in search_cases():
+        for k in sorted({config.associativity, 8}):
+            geometry = replace(config, associativity=k)
+            for s in range(config.num_sets):
+                pg = project(g, s, geometry)
+                space = StateSpace(k=k, blocks=block_universe(pg))
+                if space.blocks:
+                    check_skeleton_fixpoints(pg, space, init)
+
+
+@st.composite
+def random_programs(draw):
+    """Any multigraph of up to 7 vertices and 14 edges over up to 5 blocks, k <= 8."""
+    n = draw(st.integers(1, 7))
+    blocks = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(
+        st.tuples(vertex, vertex, st.none() | st.integers(0, blocks - 1)), max_size=14
+    ))
+    config = small_config(k=draw(st.integers(1, 8)))
+    return build_cfg(
+        "v0", [f"v{i}" for i in range(n)],
+        [(f"v{a}", f"v{b}", None if x is None else 8 * x) for a, b, x in edges],
+        config,
+    ), config
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(random_programs(), st.sampled_from(list(InitMode)))
+def test_skeleton_fixpoints_on_random_graphs(program, init):
+    g, config = program
+    pg = project(g, 0, config)
+    space = StateSpace(k=config.associativity, blocks=block_universe(pg))
+    if space.blocks:
+        check_skeleton_fixpoints(pg, space, init)

@@ -7,14 +7,13 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import build_cfg, cfg_text, loop_cfg, small_config
+from helpers import build_cfg, cfg_text, full_table, loop_cfg, small_config
 from lrucheck.cfg import (
     AccessId,
     CacheConfig,
     CfgParseError,
     MemoryBlock,
     accesses_of,
-    adjacency,
     block_universe,
     parse_cfg,
     project,
@@ -241,7 +240,7 @@ def test_reverse_post_order_appends_unreachable(k2_config):
 
 
 def skeleton_of(g):
-    return skeleton(adjacency(g, block_universe(g)), g.entry)
+    return skeleton(full_table(g, block_universe(g)), g.entry)
 
 
 def test_skeleton_contracts_noaccess_paths(k2_config):
@@ -259,7 +258,7 @@ def test_skeleton_contracts_noaccess_paths(k2_config):
         ],
         k2_config,
     )
-    adj = adjacency(g, block_universe(g))
+    adj = full_table(g, block_universe(g))
     sk = skeleton(adj, g.entry)
     assert sk.order == ("e", "a", "b") == tuple(v for v in adj.order if v in "eab")
     assert sk.accessing == adj.accessing == {"a", "b"}
@@ -273,7 +272,7 @@ def test_skeleton_contracts_noaccess_paths(k2_config):
 def test_skeleton_drops_unkept_sinks_and_keeps_access_rows(loop2, straight2):
     # Straight line: every edge accesses, so the rows stay, except that the
     # sink v5 is not kept and the last access edge leads to no kept vertex.
-    adj = adjacency(straight2, block_universe(straight2))
+    adj = full_table(straight2, block_universe(straight2))
     assert skeleton_of(straight2).succ == {
         **{v: row for v, row in adj.succ.items() if v not in ("v4", "v5")},
         "v4": (),

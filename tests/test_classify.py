@@ -227,23 +227,34 @@ def test_verify_projects_each_set_once(monkeypatch, mode):
     assert [pg.set_index for pg, _ in report.classification.sets] == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("mode", [Mode.AI_MC, Mode.MC_ONLY])
+@pytest.mark.parametrize("mode", list(Mode))
 def test_focused_searches_share_the_set_successor_table(monkeypatch, mode):
     import lrucheck.cfg
+    import lrucheck.classify
 
-    calls = []
-    real = lrucheck.cfg.out_edges
+    tables, orders = [], []
+    real_out_edges = lrucheck.cfg.out_edges
+    real_order = lrucheck.cfg.reverse_post_order
 
-    def counting(g):
-        calls.append(g.set_index)
-        return real(g)
+    def counting_out_edges(g):
+        tables.append(getattr(g, "set_index", None))
+        return real_out_edges(g)
 
-    monkeypatch.setattr(lrucheck.cfg, "out_edges", counting)
+    def counting_order(g, adj=None):
+        orders.append(type(g).__name__)
+        return real_order(g, adj)
+
+    monkeypatch.setattr(lrucheck.cfg, "out_edges", counting_out_edges)
+    monkeypatch.setattr(lrucheck.cfg, "reverse_post_order", counting_order)
+    monkeypatch.setattr(lrucheck.classify, "reverse_post_order", counting_order)
     name, config, g = corpus_programs(3, base_seed=300, sets=None)[2]
     result = classify_all(g, config, InitMode.UNKNOWN, mode)
-    assert result.stats.focused_runs > 0
-    # one successor table per set with accesses, none per focused search
-    assert calls == [pg.set_index for pg, _ in result.sets if accesses_of(pg)]
+    if mode is not Mode.AI_ONLY:
+        assert result.stats.focused_runs > 0
+    # One order per program, walking the program's own edges; then one
+    # successor table per set with accesses, none per fixpoint or search.
+    assert orders == ["Cfg"]
+    assert tables == [None] + [pg.set_index for pg, _ in result.sets if accesses_of(pg)]
 
 
 def test_accesses_split_by_set_match_the_projections():

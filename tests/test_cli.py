@@ -334,6 +334,47 @@ def test_config_file_defaults_and_override(capsys, tmp_path):
     assert json.loads(out)["config"]["mode"] == "ai+mc"  # flags beat the file
 
 
+def _smv_files(outdir):
+    return {p.name: p.read_text(encoding="utf-8") for p in sorted(outdir.iterdir())}
+
+
+@pytest.mark.parametrize("key", ["no-simplify", "with-oracle", "timings"])
+def test_boolean_config_values(capsys, tmp_path, key):
+    """Boolean keys take 1/true/yes/on and 0/false/no/off in any case; a typo is exit 2."""
+    straight = REPO / "docs" / "examples" / "straightline.json"
+
+    def run(value, tag):
+        conf = tmp_path / f"{tag}.conf"
+        conf.write_text(f"{key} = {value}\n", encoding="utf-8")
+        if key == "no-simplify":
+            outdir = tmp_path / tag
+            code, out, err = run_cli(capsys, "export-smv", str(straight), *LOOP_FLAGS,
+                                     "--block", "0", "--outdir", str(outdir),
+                                     "--config", str(conf))
+            return code, err, (_smv_files(outdir) if code == 0 else None)
+        code, out, err = run_cli(capsys, "analyze", str(LOOP_JSON), *LOOP_FLAGS,
+                                 "--config", str(conf))
+        if code != 0:
+            return code, err, None
+        doc = json.loads(out)
+        return code, err, (doc["oracle"] is not None, doc["stats"]["timings_ms"]["ai"] > 0)
+
+    results = {}
+    for i, value in enumerate(["1", "TRUE", "Yes", "on", "0", "False", "NO", "Off"]):
+        code, err, seen = run(value, f"v{i}")
+        assert (code, err) == (0, ""), value
+        results.setdefault(value.lower() in ("1", "true", "yes", "on"), []).append(seen)
+    for spelling in results.values():
+        assert all(seen == spelling[0] for seen in spelling)
+    assert results[True][0] != results[False][0]
+
+    for typo in ("ture", "2", ""):
+        code, err, _ = run(typo, "typo")
+        dest = key.replace("-", "_")
+        assert (code, err) == (2, f"error: config option {dest}: bad value {typo!r}\n"), typo
+        assert not (tmp_path / "typo").exists()
+
+
 def test_config_file_errors(capsys, tmp_path):
     bad_key = tmp_path / "bad_key.conf"
     bad_key.write_text("warp = 9\n", encoding="utf-8")

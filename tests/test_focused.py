@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     EPSILON,
+    analyze_set,
     all_states,
     alpha_focus,
     blocks_for,
@@ -19,11 +20,13 @@ from helpers import (
     decoded_states,
     empty_state,
     encode_state,
+    full_table,
     pruned_model,
     raw_model,
     reference_reach,
     reference_seeds,
     reference_simplified_edges,
+    search_cases,
     small_config,
     solve,
     space_for,
@@ -40,9 +43,8 @@ from lrucheck.cfg import (
     accesses_of,
     block_universe,
     project,
-    skeleton,
 )
-from lrucheck.classify import Mode, abstract_phase
+from lrucheck.classify import Mode
 from lrucheck.concrete import InitMode, StateSpace
 from lrucheck.focused import (
     EPSILON_MASK,
@@ -169,16 +171,6 @@ def test_seeds_are_counted_without_enumeration():
     assert time.perf_counter() - t0 < 1.0
 
 
-def search_cases():
-    """Corpus programs of both set counts plus four 120-vertex loop programs."""
-    programs = corpus_programs(30, base_seed=300, sets=None)
-    config = CacheConfig(associativity=4, num_sets=2, block_size=8)
-    for seed in range(4):
-        spec = GenSpec(vertices=120, loops=12, depth=3, blocks=10, seed=seed)
-        programs.append((f"loops{seed}", config, generate(spec, config)))
-    return programs
-
-
 def set_model(analysis, focus, pruned, table):
     """The focus's model over `table`, may-pruned by `simplify_for` when `pruned`."""
     if pruned:
@@ -192,14 +184,15 @@ def test_mask_search_matches_reference_search(init):
         k = config.associativity
         for s in range(config.num_sets):
             pg = project(g, s, config)
-            analysis = abstract_phase(pg, k, init, Mode.AI_MC, accesses_of(pg))
+            analysis = analyze_set(pg, k, init, Mode.AI_MC)
             if not analysis.accesses:
                 continue
             space = analysis.space
+            full = full_table(pg, space.blocks)
             residual = analysis.residual_by_block()
             for simplified in (False, True):
                 for focus in space.blocks:
-                    model = set_model(analysis, focus, simplified, analysis.adj)
+                    model = set_model(analysis, focus, simplified, full)
                     if simplified:
                         may = unpack_fixpoint(MAY, analysis.may, space)
                         edges = reference_simplified_edges(pg, focus, may, k, space)
@@ -274,15 +267,16 @@ def test_skeleton_search_matches_raw_search(init):
         k = config.associativity
         for s in range(config.num_sets):
             pg = project(g, s, config)
-            analysis = abstract_phase(pg, k, init, Mode.AI_MC, accesses_of(pg))
+            analysis = analyze_set(pg, k, init, Mode.AI_MC)
             if not analysis.accesses:
                 continue
-            table = skeleton(analysis.adj, pg.entry)
-            kept = analysis.adj.accessing | {pg.entry}
-            assert table.succ.keys() == kept
             space = analysis.space
+            full = full_table(pg, space.blocks)
+            table = analysis.adj
+            kept = full.accessing | {pg.entry}
+            assert table.succ.keys() == kept
             for focus, goal_sets in goal_cases(analysis):
-                raw_model = unsimplified_model(pg, focus, space, analysis.adj)
+                raw_model = unsimplified_model(pg, focus, space, full)
                 skel_model = unsimplified_model(pg, focus, space, table)
                 seeds = initial_focused(raw_model.positions, k, init)
                 for goal_checks in goal_sets:
@@ -319,10 +313,10 @@ def test_pruned_search_matches_plain_search(init):
         k = config.associativity
         for s in range(config.num_sets):
             pg = project(g, s, config)
-            analysis = abstract_phase(pg, k, init, Mode.AI_MC, accesses_of(pg))
+            analysis = analyze_set(pg, k, init, Mode.AI_MC)
             if not analysis.accesses:
                 continue
-            tables = {"full": analysis.adj, "skeleton": skeleton(analysis.adj, pg.entry)}
+            tables = {"full": full_table(pg, analysis.space.blocks), "skeleton": analysis.adj}
             for focus, goal_sets in goal_cases(analysis):
                 for table_name, table in tables.items():
                     plain = set_model(analysis, focus, False, table)

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import reference_collecting
-from lrucheck.cfg import CacheConfig, adjacency, block_universe, load_cfg, project
+from helpers import full_table, reference_collecting
+from lrucheck.cfg import CacheConfig, block_universe, load_cfg, project
 from lrucheck.concrete import InitMode, StateSpace, collecting_semantics
 from lrucheck.focused import focused_reach, initial_focused, unsimplified_model
 
@@ -47,7 +47,7 @@ def tracing():
 def test_focused_extractors_read_real_values(tracing, k2_config, loop2):
     pg = project(loop2, 0, k2_config)
     space = StateSpace(k=2, blocks=block_universe(pg))
-    model = unsimplified_model(pg, space.blocks[0], space, adjacency(pg, space.blocks))
+    model = unsimplified_model(pg, space.blocks[0], space, full_table(pg, space.blocks))
     seeds = initial_focused(model.positions, 2, InitMode.UNKNOWN)
     reach = focused_reach(model, seeds)
 
