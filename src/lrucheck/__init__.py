@@ -15,7 +15,6 @@ from .cfg import (  # noqa: F401
     CfgParseError,
     Edge,
     MemoryBlock,
-    ProjectedCfg,
     accesses_of,
     parse_cfg,
     project,

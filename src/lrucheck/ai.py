@@ -15,7 +15,9 @@ must/may speak about every state and answer "always?"; exists-hit/exists-miss
 speak about the set of states as a whole and answer "can it happen?".  When an
 access is neither always-hit nor always-miss but both a hit and a miss are
 shown possible, it is definitely-unknown and exact model checking would be
-wasted effort on it.
+wasted effort on it.  `ai_classify` states that answer at one access as the
+pipeline's own record, a `verdict.FinalVerdict` with provenance must, may or
+eh-em, or unresolved when the bounds do not settle the access.
 
 A state is one Python int holding a row of bounds aligned with the state
 space's blocks.  A must or may state has n fields, one per block.  An
@@ -57,12 +59,11 @@ every field as m*L.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from dataclasses import dataclass
 from typing import Optional
 
-from .cfg import AccessId, Adjacency, AnyCfg
+from .cfg import AccessId, Adjacency, Cfg
 from .concrete import InitMode, StateSpace
-from .verdict import Verdict
+from .verdict import FinalVerdict, Provenance, Verdict
 
 #: Unreachable marker usable by every domain: join identity, fixed by transfer.
 BOTTOM = None
@@ -106,7 +107,7 @@ Fixpoint = dict[str, Optional[int]]
 
 
 def fixpoint(
-    domain: Domain, g: AnyCfg, space: StateSpace, init: InitMode, adj: Adjacency
+    domain: Domain, g: Cfg, space: StateSpace, init: InitMode, adj: Adjacency
 ) -> Fixpoint:
     """Least fixpoint of a domain over a successor table of a graph.
 
@@ -189,20 +190,6 @@ def carried(fix: Fixpoint, space: StateSpace) -> Fixpoint:
     return {v: None if s is None else s >> shift for v, s in fix.items()}
 
 
-@dataclass(frozen=True)
-class AiClassification:
-    """Outcome of the abstract phase for one access.
-
-    `verdict` is None when the bounds cannot settle the access; the flags then
-    say which half is already known possible, steering the model checker.
-    """
-
-    access: AccessId
-    verdict: Optional[Verdict]
-    exists_hit: bool
-    exists_miss: bool
-
-
 def ai_classify(
     space: StateSpace,
     access: AccessId,
@@ -210,15 +197,17 @@ def ai_classify(
     may: Fixpoint,
     eh: Optional[Fixpoint] = None,
     em: Optional[Fixpoint] = None,
-) -> AiClassification:
+) -> FinalVerdict:
     """Combine the domains' answers at one access, cheapest proof first.
 
     must proves always-hit, may (bound k) proves always-miss.  Failing both,
     the exists-hit and exists-miss bounds decide definitely-unknown; when only
     one or neither of them is available or conclusive, the access stays
-    unresolved with the flags recording which existential half is settled.
-    An access whose source is unreachable hits vacuously: always-hit.  `eh`
-    and `em`, when given, are exists fixpoints, read through their own half.
+    unresolved (verdict None) with the flags recording which existential half
+    is settled.  The provenance names the domain that decided: must, may,
+    eh-em, or unresolved.  An access whose source is unreachable hits
+    vacuously: always-hit by must.  `eh` and `em`, when given, are exists
+    fixpoints, read through their own half.
     """
     v = access.src
     k = space.k
@@ -227,14 +216,14 @@ def ai_classify(
     fmask = (1 << w) - 1
     must_s = must[v]
     if must_s is None:
-        return AiClassification(access, Verdict.ALWAYS_HIT, False, False)
+        return FinalVerdict(access, Verdict.ALWAYS_HIT, Provenance.MUST, False, False)
     if (must_s >> shift) & fmask < k:
-        return AiClassification(access, Verdict.ALWAYS_HIT, True, False)
+        return FinalVerdict(access, Verdict.ALWAYS_HIT, Provenance.MUST, True, False)
     if (may[v] >> shift) & fmask == k:
-        return AiClassification(access, Verdict.ALWAYS_MISS, False, True)
+        return FinalVerdict(access, Verdict.ALWAYS_MISS, Provenance.MAY, False, True)
     # must is reachable here, so every domain is: no None checks needed.
     exists_hit = eh is not None and (eh[v] >> shift) & fmask < k
     exists_miss = em is not None and (em[v] >> shift) & fmask == k
     if exists_hit and exists_miss:
-        return AiClassification(access, Verdict.DEFINITELY_UNKNOWN, True, True)
-    return AiClassification(access, None, exists_hit, exists_miss)
+        return FinalVerdict(access, Verdict.DEFINITELY_UNKNOWN, Provenance.EH_EM, True, True)
+    return FinalVerdict(access, None, Provenance.UNRESOLVED, exists_hit, exists_miss)

@@ -20,8 +20,8 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 from .cfg import CacheConfig, Cfg, parse_cfg
 from .classify import ClassifyResult, Mode, Provenance, classify_all
@@ -179,8 +179,7 @@ def generate_json(spec: GenSpec, config: CacheConfig = DEFAULT_CONFIG, name: Opt
     return dumps_indented(_document(spec, config, name)) + "\n"
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
     """One (program, mode) measurement; the CSV schema, column for column."""
 
     name: str
@@ -203,7 +202,7 @@ class ExperimentRow:
     t_mc_ms: float
 
 
-CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
+CSV_COLUMNS = list(ExperimentRow._fields)
 
 
 def row_from_result(
@@ -230,10 +229,7 @@ def row_from_result(
         prov_must=prov.get(Provenance.MUST.value, 0),
         prov_may=prov.get(Provenance.MAY.value, 0),
         prov_ehem=prov.get(Provenance.EH_EM.value, 0),
-        prov_mc=sum(
-            prov.get(p.value, 0)
-            for p in (Provenance.MC_CHECK_AH, Provenance.MC_CHECK_AM, Provenance.MC_REFUTED_BOTH)
-        ),
+        prov_mc=st.mc_access_checks,
         focused_runs=st.focused_runs,
         states_explored=st.states_explored,
         t_ai_ms=st.t_ai_ms if timings else 0.0,
@@ -275,8 +271,7 @@ def write_csv(rows: Sequence[ExperimentRow], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([getattr(row, col) for col in CSV_COLUMNS])
+        writer.writerows(rows)
 
 
 def geometric_mean(values: Sequence[float]) -> Optional[float]:

@@ -10,9 +10,9 @@ block of a different set is blanked out.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class CfgError(Exception):
@@ -81,7 +81,10 @@ class Edge:
 
 @dataclass(frozen=True)
 class Cfg:
-    """A parsed control-flow graph.  Edge order is the declaration order."""
+    """A control-flow graph: a parsed program, or its projection onto one cache set.
+
+    Edge order is the declaration order.
+    """
 
     entry: str
     vertices: tuple[str, ...]
@@ -95,27 +98,6 @@ class Cfg:
         Built once, so the projections of every cache set share these objects.
         """
         return tuple(e if e.block is None else Edge(e.src, None, e.dst) for e in self.edges)
-
-
-@dataclass(frozen=True)
-class ProjectedCfg:
-    """The view of a Cfg seen by one cache set.
-
-    Same vertices as the source graph; edges accessing blocks of other sets
-    are relabeled to no-access edges, and no-access self-loops are dropped.
-    """
-
-    entry: str
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    set_index: int
-    name: str = "cfg"
-
-
-# Unions of this package's classes use `|`, not typing.Union: typing caches
-# Union objects process-wide, which would keep every re-imported copy of the
-# package alive.
-AnyCfg = Cfg | ProjectedCfg
 
 
 @dataclass(frozen=True, order=True)
@@ -239,12 +221,14 @@ def load_cfg(path: str, config: CacheConfig) -> Cfg:
     return parse_cfg(text, config, name=stem)
 
 
-def project(g: Cfg, set_index: int, config: CacheConfig) -> ProjectedCfg:
-    """Project a Cfg onto one cache set.
+def project(g: Cfg, set_index: int, config: CacheConfig) -> Cfg:
+    """Project a Cfg onto one cache set: the graph that set sees.
 
     Access edges whose block belongs to a different set become no-access
     edges; no-access self-loops are removed (they cannot change any cache
-    state).  Vertices and all remaining edge identities are preserved.
+    state).  Vertices, entry, name and all remaining edge identities are
+    preserved.  The result does not record its set; every block it accesses
+    does.
     """
     if not 0 <= set_index < config.num_sets:
         raise ValueError(f"set_index {set_index} out of range for {config.num_sets} sets")
@@ -255,16 +239,10 @@ def project(g: Cfg, set_index: int, config: CacheConfig) -> ProjectedCfg:
                 continue
             e = blank
         kept.append(e)
-    return ProjectedCfg(
-        entry=g.entry,
-        vertices=g.vertices,
-        edges=tuple(kept),
-        set_index=set_index,
-        name=g.name,
-    )
+    return Cfg(entry=g.entry, vertices=g.vertices, edges=tuple(kept), name=g.name)
 
 
-def accesses_of(g: AnyCfg) -> list[AccessId]:
+def accesses_of(g: Cfg) -> list[AccessId]:
     """Enumerate the access edges of a graph as stable AccessIds, in edge order."""
     counts: dict[tuple[str, str, MemoryBlock], int] = {}
     out: list[AccessId] = []
@@ -278,12 +256,12 @@ def accesses_of(g: AnyCfg) -> list[AccessId]:
     return out
 
 
-def block_universe(g: AnyCfg) -> tuple[MemoryBlock, ...]:
+def block_universe(g: Cfg) -> tuple[MemoryBlock, ...]:
     """Distinct blocks accessed anywhere in the graph, sorted by block index."""
     return tuple(sorted({e.block for e in g.edges if e.block is not None}))
 
 
-def out_edges(g: AnyCfg) -> dict[str, list[Edge]]:
+def out_edges(g: Cfg) -> dict[str, list[Edge]]:
     """Adjacency map vertex -> outgoing edges, in edge order."""
     adj: dict[str, list[Edge]] = {v: [] for v in g.vertices}
     for e in g.edges:
@@ -291,7 +269,7 @@ def out_edges(g: AnyCfg) -> dict[str, list[Edge]]:
     return adj
 
 
-def reverse_post_order(g: AnyCfg, adj: Optional[dict[str, list[Edge]]] = None) -> list[str]:
+def reverse_post_order(g: Cfg, adj: Optional[dict[str, list[Edge]]] = None) -> list[str]:
     """Vertices reachable from the entry in reverse post-order.
 
     Unreachable vertices are appended afterwards in declaration order so the
@@ -322,8 +300,7 @@ def reverse_post_order(g: AnyCfg, adj: Optional[dict[str, list[Edge]]] = None) -
     return order
 
 
-@dataclass(frozen=True)
-class Adjacency:
+class Adjacency(NamedTuple):
     """A graph's successor lists with blocks as universe positions, plus its vertex order.
 
     `succ[v]` lists `(dst, i)` per outgoing edge of v in edge order, where i is
@@ -338,7 +315,7 @@ class Adjacency:
     accessing: frozenset[str]
 
 
-def adjacency(g: AnyCfg, blocks: Sequence[MemoryBlock], order: Sequence[str]) -> Adjacency:
+def adjacency(g: Cfg, blocks: Sequence[MemoryBlock], order: Sequence[str]) -> Adjacency:
     """Build the Adjacency of a graph over the block universe `blocks`.
 
     `order` must be the graph's `reverse_post_order`.  A projection only

@@ -6,6 +6,13 @@ search per remaining block.  The abstract exists-hit/exists-miss information
 both filters out accesses that are provably undecidable (no point model
 checking them) and halves the work for the rest.
 
+Each access has one record throughout, a `verdict.FinalVerdict`: the
+abstract phase gives every access one, and the model-checking step replaces
+only the unresolved ones.  A set's graph is a `Cfg`, the projection, and its
+set is its position in `ClassifyResult.sets`.  The outcome counters of
+`PhaseStats` are counted once from the final verdicts, and `OracleReport`
+keeps the oracle's verdict next to each of them; its totals are derived.
+
 Both phases run on the set's access skeleton (`cfg.skeleton`): the entry
 and the access sources, the only vertices either phase reads, with each
 chain of no-access edges contracted.  It is built once per set from the
@@ -25,26 +32,15 @@ import logging
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .ai import (
-    EXISTS_HIT,
-    EXISTS_MISS,
-    MAY,
-    MUST,
-    AiClassification,
-    Fixpoint,
-    ai_classify,
-    carried,
-    fixpoint,
-)
+from .ai import EXISTS_HIT, EXISTS_MISS, MAY, MUST, Fixpoint, ai_classify, carried, fixpoint
 from .cfg import (
     AccessId,
     Adjacency,
     CacheConfig,
     Cfg,
     MemoryBlock,
-    ProjectedCfg,
     accesses_of,
     adjacency,
     block_universe,
@@ -61,12 +57,13 @@ from .concrete import (
 )
 from .focused import (
     DEFAULT_MC_BUDGET,
+    FocusedReach,
     check_access,
     focused_reach,
     initial_focused,
     unsimplified_model,
 )
-from .verdict import Verdict
+from .verdict import MC_PROVENANCES, FinalVerdict, Provenance, Verdict
 
 log = logging.getLogger(__name__)
 
@@ -90,45 +87,14 @@ class Mode(enum.Enum):
         return self.value
 
 
-class Provenance(enum.Enum):
-    """Which stage of the pipeline produced a verdict."""
-
-    MUST = "must"
-    MAY = "may"
-    EH_EM = "eh-em"
-    MC_CHECK_AH = "mc-check-ah"
-    MC_CHECK_AM = "mc-check-am"
-    MC_REFUTED_BOTH = "mc-refuted-both"
-    UNRESOLVED = "unresolved"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-MC_PROVENANCES = frozenset(
-    {Provenance.MC_CHECK_AH, Provenance.MC_CHECK_AM, Provenance.MC_REFUTED_BOTH}
-)
-
-
-@dataclass(frozen=True)
-class FinalVerdict:
-    """Pipeline outcome for one access.
-
-    `verdict` is None only in ai-only mode, for accesses the abstract phase
-    could not settle; the flags then carry what is known about them.
-    """
-
-    access: AccessId
-    set_index: int
-    verdict: Optional[Verdict]
-    provenance: Provenance
-    exists_hit: bool
-    exists_miss: bool
-
-
 @dataclass
 class PhaseStats:
-    """Work and outcome counters for one classification run."""
+    """Work and outcome counters for one classification run.
+
+    `classify_all` fills the outcome counters (`n_accesses`, the two
+    Counters, `mc_access_checks`) once, from the verdicts it returns; the
+    per-set steps add up the work counters and times.
+    """
 
     n_accesses: int = 0
     verdict_counts: Counter = field(default_factory=Counter)
@@ -139,40 +105,17 @@ class PhaseStats:
     t_ai_ms: float = 0.0
     t_mc_ms: float = 0.0
 
-    def count(self, fv: FinalVerdict) -> None:
-        self.n_accesses += 1
-        self.verdict_counts[fv.verdict.value if fv.verdict else "unknown"] += 1
-        self.provenance_counts[fv.provenance.value] += 1
 
-    def absorb(self, other: "PhaseStats") -> None:
-        self.n_accesses += other.n_accesses
-        self.verdict_counts.update(other.verdict_counts)
-        self.provenance_counts.update(other.provenance_counts)
-        self.focused_runs += other.focused_runs
-        self.mc_access_checks += other.mc_access_checks
-        self.states_explored += other.states_explored
-        self.t_ai_ms += other.t_ai_ms
-        self.t_mc_ms += other.t_mc_ms
-
-    def conserved(self) -> bool:
-        """Every access has exactly one verdict and one provenance."""
-        return (
-            sum(self.verdict_counts.values()) == self.n_accesses
-            and sum(self.provenance_counts.values()) == self.n_accesses
-        )
-
-
-@dataclass
-class ClassifyResult:
+class ClassifyResult(NamedTuple):
     """Verdicts in the program's access order, with the run's counters.
 
     `sets` holds each cache set's projected graph and state space, in set
-    order, so the oracle can reuse them.
+    order (a projection's set is its position), so the oracle can reuse them.
     """
 
     verdicts: list[FinalVerdict]
     stats: PhaseStats
-    sets: list[tuple[ProjectedCfg, StateSpace]] = field(default_factory=list)
+    sets: list[tuple[Cfg, StateSpace]]
 
 
 def _final_flags(verdict: Verdict, reachable: bool) -> tuple[bool, bool]:
@@ -187,43 +130,40 @@ def _final_flags(verdict: Verdict, reachable: bool) -> tuple[bool, bool]:
     return (True, True)
 
 
-_AI_PROVENANCE = {
-    Verdict.ALWAYS_HIT: Provenance.MUST,
-    Verdict.ALWAYS_MISS: Provenance.MAY,
-    Verdict.DEFINITELY_UNKNOWN: Provenance.EH_EM,
-}
-
-
-@dataclass
-class SetAnalysis:
+class SetAnalysis(NamedTuple):
     """The abstract phase of one cache set, and what the focused phase needs of it.
 
-    `settled` holds the accesses the abstract domains decide; `residual` the
-    rest, in access order, with the existential halves already known.  `adj`
-    is the skeleton of the graph's successor table over `space.blocks`, which
-    both phases run on, None when nothing is accessed.  `may` is the may
-    fixpoint at its vertices, None in mc-only mode; only the SMV export's
-    pruning (`focused.simplify_for`) reads it.
+    `verdicts` holds one `FinalVerdict` per access of `accesses`, in order:
+    settled by a domain, or unresolved (verdict None) with the existential
+    halves already known, the `residual`.  `adj` is the skeleton of the
+    graph's successor table over `space.blocks`, which both phases run on,
+    None when nothing is accessed.  `may` is the may fixpoint at its
+    vertices, None in mc-only mode; only the SMV export's pruning
+    (`focused.simplify_for`) reads it.
     """
 
-    graph: ProjectedCfg
+    graph: Cfg
     space: StateSpace
     accesses: list[AccessId]
-    settled: dict[AccessId, FinalVerdict]
-    residual: list[AiClassification]
+    verdicts: list[FinalVerdict]
     may: Optional[Fixpoint]
     adj: Optional[Adjacency]
 
-    def residual_by_block(self) -> dict[MemoryBlock, list[AiClassification]]:
+    @property
+    def residual(self) -> list[FinalVerdict]:
+        """The unresolved verdicts, in access order."""
+        return [fv for fv in self.verdicts if fv.verdict is None]
+
+    def residual_by_block(self) -> dict[MemoryBlock, list[FinalVerdict]]:
         """Residual accesses grouped by block, blocks in ascending order."""
-        by_block: dict[MemoryBlock, list[AiClassification]] = {}
-        for c in self.residual:
-            by_block.setdefault(c.access.block, []).append(c)
+        by_block: dict[MemoryBlock, list[FinalVerdict]] = {}
+        for fv in self.residual:
+            by_block.setdefault(fv.access.block, []).append(fv)
         return {b: by_block[b] for b in sorted(by_block)}
 
 
 def abstract_phase(
-    pg: ProjectedCfg,
+    pg: Cfg,
     k: int,
     init: InitMode,
     mode: Mode,
@@ -240,11 +180,10 @@ def abstract_phase(
     focused search share.
     """
     space = StateSpace(k=k, blocks=block_universe(pg))
-    settled: dict[AccessId, FinalVerdict] = {}
     adj = skeleton(adjacency(pg, space.blocks, order), pg.entry) if accesses else None
     if mode is Mode.MC_ONLY or not accesses:
-        residual = [AiClassification(a, None, False, False) for a in accesses]
-        return SetAnalysis(pg, space, accesses, settled, residual, None, adj)
+        verdicts = [FinalVerdict(a, None, Provenance.UNRESOLVED, False, False) for a in accesses]
+        return SetAnalysis(pg, space, accesses, verdicts, None, adj)
 
     if mode is Mode.AI_MC_NO_DU:
         must = fixpoint(MUST, pg, space, init, adj)
@@ -254,16 +193,8 @@ def abstract_phase(
         eh = fixpoint(EXISTS_HIT, pg, space, init, adj)
         em = fixpoint(EXISTS_MISS, pg, space, init, adj)
         must, may = carried(eh, space), carried(em, space)
-    residual = []
-    for a in accesses:
-        c = ai_classify(space, a, must, may, eh, em)
-        if c.verdict is not None:
-            settled[a] = FinalVerdict(
-                a, pg.set_index, c.verdict, _AI_PROVENANCE[c.verdict], c.exists_hit, c.exists_miss
-            )
-        else:
-            residual.append(c)
-    return SetAnalysis(pg, space, accesses, settled, residual, may, adj)
+    verdicts = [ai_classify(space, a, must, may, eh, em) for a in accesses]
+    return SetAnalysis(pg, space, accesses, verdicts, may, adj)
 
 
 def accesses_by_set(g: Cfg, num_sets: int) -> tuple[list[AccessId], list[list[AccessId]]]:
@@ -279,65 +210,63 @@ def accesses_by_set(g: Cfg, num_sets: int) -> tuple[list[AccessId], list[list[Ac
     return accesses, by_set
 
 
+def _model_check(reach: FocusedReach, fv: FinalVerdict) -> FinalVerdict:
+    """The verdict of a residual access, decided from its block's search."""
+    access, exists_hit, exists_miss = fv.access, fv.exists_hit, fv.exists_miss
+    verdict = check_access(reach, access, exists_hit, exists_miss)
+    if exists_hit:
+        prov = Provenance.MC_CHECK_AH
+    elif exists_miss:
+        prov = Provenance.MC_CHECK_AM
+    elif verdict is Verdict.ALWAYS_HIT:
+        prov = Provenance.MC_CHECK_AH
+    elif verdict is Verdict.ALWAYS_MISS:
+        prov = Provenance.MC_CHECK_AM
+    else:
+        prov = Provenance.MC_REFUTED_BOTH
+    eh_flag, em_flag = _final_flags(verdict, bool(reach.states[access.src]))
+    return FinalVerdict(access, verdict, prov, eh_flag, em_flag)
+
+
 def _classify_set(
-    pg: ProjectedCfg,
+    pg: Cfg,
     k: int,
     init: InitMode,
     mode: Mode,
     mc_budget: int,
     accesses: list[AccessId],
     order: tuple[str, ...],
-) -> tuple[dict[AccessId, FinalVerdict], PhaseStats, StateSpace]:
-    stats = PhaseStats()
+    stats: PhaseStats,
+) -> tuple[list[FinalVerdict], StateSpace]:
+    """One set's verdicts, in its access order; adds its work to `stats`."""
     t0 = time.perf_counter()
     analysis = abstract_phase(pg, k, init, mode, accesses, order)
-    if not analysis.accesses:
-        return {}, stats, analysis.space
-    results = dict(analysis.settled)
-    stats.t_ai_ms = (time.perf_counter() - t0) * 1000.0
-
+    verdicts = analysis.verdicts
+    if not verdicts:
+        return verdicts, analysis.space
     t1 = time.perf_counter()
-    if mode is Mode.AI_ONLY:
-        for c in analysis.residual:
-            results[c.access] = FinalVerdict(
-                c.access, pg.set_index, None, Provenance.UNRESOLVED, c.exists_hit, c.exists_miss
-            )
-    elif analysis.residual:
+    stats.t_ai_ms += (t1 - t0) * 1000.0
+
+    if mode is not Mode.AI_ONLY:
+        checked: dict[AccessId, FinalVerdict] = {}
         for block, group in analysis.residual_by_block().items():
             model = unsimplified_model(pg, block, analysis.space, analysis.adj)
             seeds = initial_focused(model.positions, k, init)
-            goals = [(c.access.src, c.exists_hit, c.exists_miss) for c in group]
+            goals = [(fv.access.src, fv.exists_hit, fv.exists_miss) for fv in group]
             reach = focused_reach(model, seeds, goals, budget=mc_budget)
             stats.focused_runs += 1
             stats.states_explored += reach.explored
             log.debug(
                 "focused run: %s set %d block b%d: %d states%s",
-                pg.name, pg.set_index, block.index, reach.explored,
+                pg.name, block.set_index, block.index, reach.explored,
                 " (early exit)" if reach.partial else "",
             )
-            for c in group:
-                verdict = check_access(reach, c.access, c.exists_hit, c.exists_miss)
-                stats.mc_access_checks += 1
-                if c.exists_hit:
-                    prov = Provenance.MC_CHECK_AH
-                elif c.exists_miss:
-                    prov = Provenance.MC_CHECK_AM
-                elif verdict is Verdict.ALWAYS_HIT:
-                    prov = Provenance.MC_CHECK_AH
-                elif verdict is Verdict.ALWAYS_MISS:
-                    prov = Provenance.MC_CHECK_AM
-                else:
-                    prov = Provenance.MC_REFUTED_BOTH
-                reachable = bool(reach.states[c.access.src])
-                eh_flag, em_flag = _final_flags(verdict, reachable)
-                results[c.access] = FinalVerdict(
-                    c.access, pg.set_index, verdict, prov, eh_flag, em_flag
-                )
-    stats.t_mc_ms = (time.perf_counter() - t1) * 1000.0
-
-    for fv in results.values():
-        stats.count(fv)
-    return results, stats, analysis.space
+            for fv in group:
+                checked[fv.access] = _model_check(reach, fv)
+        if checked:
+            verdicts = [checked.get(fv.access, fv) for fv in verdicts]
+    stats.t_mc_ms += (time.perf_counter() - t1) * 1000.0
+    return verdicts, analysis.space
 
 
 def classify_all(
@@ -351,50 +280,71 @@ def classify_all(
     """Classify every access of a program, one cache set at a time.
 
     Results are merged in set order and reported in the program's access
-    order.
+    order; the outcome counters of `stats` are counted from them.
     """
     accesses, by_set = accesses_by_set(g, config.num_sets)
     order = tuple(reverse_post_order(g))
     merged: dict[AccessId, FinalVerdict] = {}
     stats = PhaseStats()
-    sets: list[tuple[ProjectedCfg, StateSpace]] = []
+    sets: list[tuple[Cfg, StateSpace]] = []
     for s in range(config.num_sets):
         pg = project(g, s, config)
-        results, set_stats, space = _classify_set(
-            pg, config.associativity, init, mode, mc_budget, by_set[s], order
+        verdicts, space = _classify_set(
+            pg, config.associativity, init, mode, mc_budget, by_set[s], order, stats
         )
-        merged.update(results)
-        stats.absorb(set_stats)
+        merged.update((fv.access, fv) for fv in verdicts)
         sets.append((pg, space))
     ordered = [merged[a] for a in accesses]
-    return ClassifyResult(verdicts=ordered, stats=stats, sets=sets)
+    stats.n_accesses = len(ordered)
+    stats.verdict_counts.update(fv.verdict.value if fv.verdict else "unknown" for fv in ordered)
+    stats.provenance_counts.update(fv.provenance.value for fv in ordered)
+    stats.mc_access_checks = sum(stats.provenance_counts[p.value] for p in MC_PROVENANCES)
+    return ClassifyResult(ordered, stats, sets)
 
 
-@dataclass(frozen=True)
-class OracleEntry:
-    """One access compared between the pipeline and the exact oracle."""
+def agrees(fv: FinalVerdict, truth: Verdict) -> bool:
+    """Whether a pipeline verdict is consistent with the oracle's.
 
-    access: AccessId
-    set_index: int
-    pipeline: Optional[Verdict]
-    oracle: Verdict
-    provenance: Provenance
-    agree: bool
-    mc_resolved: bool
+    A settled verdict must equal it.  An unresolved one (ai-only mode)
+    disagrees only when one of its flags contradicts it: a known-possible hit
+    against always-miss, or a known-possible miss against always-hit.
+    """
+    if fv.verdict is not None:
+        return fv.verdict == truth
+    return not (
+        (fv.exists_hit and truth is Verdict.ALWAYS_MISS)
+        or (fv.exists_miss and truth is Verdict.ALWAYS_HIT)
+    )
 
 
-@dataclass
-class OracleReport:
-    """The oracle comparison, plus the pipeline classification it compared.
+class OracleReport(NamedTuple):
+    """The pipeline classification and the oracle's verdict of each access.
 
-    `classification` is None only in reports built by hand.
+    `oracle` is aligned with `classification.verdicts`.
     """
 
-    entries: list[OracleEntry]
-    n_checked: int
-    n_disagreements: int
-    n_mc_resolved: int
-    classification: Optional[ClassifyResult] = None
+    classification: ClassifyResult
+    oracle: list[Verdict]
+
+    @property
+    def n_checked(self) -> int:
+        return len(self.oracle)
+
+    @property
+    def n_mc_resolved(self) -> int:
+        return self.classification.stats.mc_access_checks
+
+    def disagreements(self) -> list[tuple[FinalVerdict, Verdict]]:
+        """The (pipeline, oracle) verdict pairs that fail `agrees`, in access order."""
+        return [
+            (fv, truth)
+            for fv, truth in zip(self.classification.verdicts, self.oracle)
+            if not agrees(fv, truth)
+        ]
+
+    @property
+    def n_disagreements(self) -> int:
+        return len(self.disagreements())
 
 
 def verify_against_oracle(
@@ -408,48 +358,17 @@ def verify_against_oracle(
 ) -> OracleReport:
     """Compare pipeline verdicts against exhaustive concrete enumeration.
 
-    A settled verdict that differs from the oracle is a disagreement.  An
-    unresolved access (ai-only mode) is a disagreement only when one of its
-    flags contradicts the oracle: a known-possible hit against always-miss, or
-    a known-possible miss against always-hit.  The oracle reuses the
-    projections and state spaces of the classification, one set at a time;
-    entries follow the classification's access order.
+    The oracle reuses the projections and state spaces of the
+    classification, one set at a time.  Whether a verdict is a disagreement
+    is `agrees`'s answer.
     """
     result = classify_all(g, config, init, mode, mc_budget=mc_budget)
     by_set: list[list[AccessId]] = [[] for _ in result.sets]
     for fv in result.verdicts:
-        by_set[fv.set_index].append(fv.access)
+        by_set[fv.access.block.set_index].append(fv.access)
     truths: dict[AccessId, Verdict] = {}
     for (pg, space), accesses in zip(result.sets, by_set):
         if accesses:
             reach = collecting_semantics(pg, space, init, budget=oracle_budget)
             truths.update((a, exact_classify(space, reach, a)) for a in accesses)
-
-    entries: list[OracleEntry] = []
-    for fv in result.verdicts:
-        truth = truths[fv.access]
-        if fv.verdict is not None:
-            agree = fv.verdict == truth
-        else:
-            agree = not (
-                (fv.exists_hit and truth is Verdict.ALWAYS_MISS)
-                or (fv.exists_miss and truth is Verdict.ALWAYS_HIT)
-            )
-        entries.append(
-            OracleEntry(
-                access=fv.access,
-                set_index=fv.set_index,
-                pipeline=fv.verdict,
-                oracle=truth,
-                provenance=fv.provenance,
-                agree=agree,
-                mc_resolved=fv.provenance in MC_PROVENANCES,
-            )
-        )
-    return OracleReport(
-        entries=entries,
-        n_checked=len(entries),
-        n_disagreements=sum(1 for e in entries if not e.agree),
-        n_mc_resolved=sum(1 for e in entries if e.mc_resolved),
-        classification=result,
-    )
+    return OracleReport(result, [truths[fv.access] for fv in result.verdicts])

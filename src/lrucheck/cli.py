@@ -144,9 +144,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, commands
 
 
+def _config_keys(sub: argparse.ArgumentParser) -> set[str]:
+    """The dests a config file may set: the subcommand's optional flags.
+
+    A default cannot stand in for a positional argument or a required flag,
+    and `--help` and `--config` act before any default is read.
+    """
+    return {
+        a.dest
+        for a in sub._actions
+        if a.option_strings and not a.required and a.dest not in ("help", "config")
+    }
+
+
 def _load_config_file(path: str, sub: argparse.ArgumentParser) -> dict:
     """Read `key = value` defaults; keys are long option names without dashes."""
-    valid = {a.dest for a in sub._actions}
+    valid = _config_keys(sub)
     overrides: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -158,6 +171,10 @@ def _load_config_file(path: str, sub: argparse.ArgumentParser) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             dest = key.replace("-", "_")
             if dest not in valid:
+                if any(a.dest == dest for a in sub._actions):
+                    raise CfgParseError(
+                        f"{path}:{lineno}: option {key!r} cannot be set in a config file"
+                    )
                 raise CfgParseError(f"{path}:{lineno}: unknown option {key!r}")
             overrides[dest] = value
     return overrides
@@ -253,8 +270,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         result = classify_all(g, config, init, mode, mc_budget=args.budget_mc)
     doc = build_report(g, config, init, mode, result, timings=args.timings, oracle=oracle)
     _write_text(args.out, render_report(doc))
-    if oracle is not None and oracle.n_disagreements:
-        log.error("oracle disagreements: %d", oracle.n_disagreements)
+    n_disagreements = 0 if oracle is None else oracle.n_disagreements
+    if n_disagreements:
+        log.error("oracle disagreements: %d", n_disagreements)
         return EXIT_DISAGREE
     return EXIT_OK
 
@@ -270,13 +288,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.out:
         doc = build_report(g, config, init, mode, oracle.classification, oracle=oracle)
         _write_text(args.out, render_report(doc))
-    status = "ok" if oracle.n_disagreements == 0 else "DISAGREE"
+    n_disagreements = oracle.n_disagreements
+    status = "ok" if n_disagreements == 0 else "DISAGREE"
     sys.stdout.write(
         f"{status}: {oracle.n_checked} accesses checked, "
-        f"{oracle.n_disagreements} disagreements, "
+        f"{n_disagreements} disagreements, "
         f"{oracle.n_mc_resolved} resolved by model checking\n"
     )
-    return EXIT_OK if oracle.n_disagreements == 0 else EXIT_DISAGREE
+    return EXIT_OK if n_disagreements == 0 else EXIT_DISAGREE
 
 
 def cmd_export_smv(args: argparse.Namespace) -> int:
@@ -307,7 +326,7 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
                     targets_by_block.setdefault(a.block, []).append(a)
         else:
             targets_by_block = {
-                block: [c.access for c in group]
+                block: [fv.access for fv in group]
                 for block, group in analysis.residual_by_block().items()
             }
 

@@ -29,7 +29,7 @@ from collections.abc import Iterator, Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cfg import AccessId, MemoryBlock, ProjectedCfg, out_edges, reverse_post_order
+from .cfg import AccessId, Cfg, MemoryBlock, out_edges, reverse_post_order
 from .verdict import Verdict
 
 #: Concrete cache state: positions in StateSpace.blocks of the cached blocks,
@@ -126,14 +126,14 @@ class AllStates(Set[ConcreteState]):
         }
 
 
-def _over_budget(g: ProjectedCfg, budget: int) -> OracleCapacityError:
+def _over_budget(g: Cfg, budget: int) -> OracleCapacityError:
     return OracleCapacityError(
         f"oracle needs more than {budget} (vertex, state) pairs on {g.name!r}"
     )
 
 
 def collecting_semantics(
-    g: ProjectedCfg,
+    g: Cfg,
     space: StateSpace,
     init: InitMode = InitMode.EMPTY,
     budget: int = DEFAULT_ORACLE_BUDGET,

@@ -49,9 +49,9 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .cfg import AccessId, Adjacency, Edge, MemoryBlock, ProjectedCfg
+from .cfg import AccessId, Adjacency, Cfg, Edge, MemoryBlock
 from .ai import Fixpoint, field_width
 from .concrete import InitMode, StateSpace
 from .verdict import Verdict
@@ -111,8 +111,7 @@ def initial_focused(positions: Sequence[int], k: int, init: InitMode) -> Focused
     return FocusedSeeds(tuple(positions), k, init)
 
 
-@dataclass(frozen=True)
-class FocusedModel:
+class FocusedModel(NamedTuple):
     """One block's model: the set's successor table plus the focus.
 
     `succ[v]` lists `(dst, i)` per outgoing edge of v, i the position in
@@ -120,13 +119,14 @@ class FocusedModel:
     `cfg.adjacency` table (in `graph`'s edge order) or of its `cfg.skeleton`.
     A `simplify_for` model rewrites the full table's rows at the sources where
     the focus is provably uncached or that are unreachable; every other row
-    is the table's.  `graph` is the projection the table was built from.
+    is the table's.  `graph` is the projection the table was built from; its
+    cache set is `focus.set_index`.
 
     The alphabet of younger sets is every block but the focus: `universe`,
     at positions `positions` of `blocks`.
     """
 
-    graph: ProjectedCfg
+    graph: Cfg
     focus: MemoryBlock
     k: int
     blocks: tuple[MemoryBlock, ...]
@@ -162,7 +162,7 @@ class FocusedModel:
 
 
 def unsimplified_model(
-    g: ProjectedCfg, focus: MemoryBlock, space: StateSpace, adj: Adjacency
+    g: Cfg, focus: MemoryBlock, space: StateSpace, adj: Adjacency
 ) -> FocusedModel:
     """Focused model over the raw projection.
 
@@ -173,7 +173,7 @@ def unsimplified_model(
 
 
 def simplify_for(
-    g: ProjectedCfg,
+    g: Cfg,
     focus: MemoryBlock,
     may_fix: Fixpoint,
     space: StateSpace,
@@ -206,8 +206,7 @@ def simplify_for(
     return FocusedModel(graph=g, focus=focus, k=k, blocks=space.blocks, succ=succ)
 
 
-@dataclass
-class FocusedReach:
+class FocusedReach(NamedTuple):
     """Reachable focused states per vertex, plus how the search went.
 
     `states[v]` holds masks (EPSILON_MASK or a younger-set over
@@ -421,7 +420,7 @@ def export_smv(model: FocusedModel, init: InitMode, targets: Sequence[AccessId])
         return " + ".join(f"toint({n})" for n in bit_names)
 
     lines: list[str] = []
-    lines.append(f"-- focused LRU cache model: block b{focus.index}, cache set {g.set_index}")
+    lines.append(f"-- focused LRU cache model: block b{focus.index}, cache set {focus.set_index}")
     lines.append(f"-- graph {g.name!r}; associativity {k}; initial cache {init.value}")
     lines.append("MODULE main")
     lines.append("VAR")

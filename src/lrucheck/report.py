@@ -16,6 +16,7 @@ from . import __version__
 from .cfg import CacheConfig, Cfg
 from .classify import ClassifyResult, Mode, OracleReport
 from .concrete import InitMode
+from .verdict import MC_PROVENANCES
 
 SCHEMA_VERSION = 2
 
@@ -52,7 +53,7 @@ def build_report(
                 "from": a.src,
                 "to": a.dst,
                 "block": a.block.index,
-                "set": fv.set_index,
+                "set": a.block.set_index,
                 "ordinal": a.ordinal,
                 "verdict": fv.verdict.value if fv.verdict else "unknown",
                 "provenance": fv.provenance.value,
@@ -97,21 +98,25 @@ def build_report(
 def _oracle_section(oracle: Optional[OracleReport]) -> Optional[dict]:
     if oracle is None:
         return None
+    disagreements = oracle.disagreements()
     return {
         "checked": oracle.n_checked,
         "disagreements": [
             {
-                "id": e.access.label,
-                "set": e.set_index,
-                "pipeline": e.pipeline.value if e.pipeline else "unknown",
-                "oracle": e.oracle.value,
-                "provenance": e.provenance.value,
+                "id": fv.access.label,
+                "set": fv.access.block.set_index,
+                "pipeline": fv.verdict.value if fv.verdict else "unknown",
+                "oracle": truth.value,
+                "provenance": fv.provenance.value,
             }
-            for e in oracle.entries
-            if not e.agree
+            for fv, truth in disagreements
         ],
-        "n_disagreements": oracle.n_disagreements,
-        "mc_resolved": [e.access.label for e in oracle.entries if e.mc_resolved],
+        "n_disagreements": len(disagreements),
+        "mc_resolved": [
+            fv.access.label
+            for fv in oracle.classification.verdicts
+            if fv.provenance in MC_PROVENANCES
+        ],
     }
 
 

@@ -354,7 +354,7 @@ def test_fixpoint_single_sweep_on_dag(k2_config, straight2):
         rows = CountingRows(adj.succ)
         for d in DOMAINS:
             rows.reads.clear()
-            fixpoint(d, pg, space, InitMode.EMPTY, replace(adj, succ=rows))
+            fixpoint(d, pg, space, InitMode.EMPTY, adj._replace(succ=rows))
             assert sorted(rows.reads) == sorted(pg.vertices), d.name
 
 

@@ -17,7 +17,8 @@ import pytest
 from helpers import cfg_text
 from smv_eval import parse_module
 from lrucheck.cli import build_parser, main
-from lrucheck.classify import OracleReport
+from lrucheck.classify import verify_against_oracle
+from lrucheck.verdict import Verdict
 
 REPO = Path(__file__).resolve().parent.parent
 LOOP_JSON = REPO / "docs" / "examples" / "loop.json"
@@ -140,8 +141,11 @@ def test_verify_counts_mc_resolutions(capsys, tmp_path):
 
 
 def test_verify_disagreement_exit_code(capsys, monkeypatch):
-    fake = OracleReport(entries=[], n_checked=2, n_disagreements=1, n_mc_resolved=0)
-    monkeypatch.setattr("lrucheck.cli.verify_against_oracle", lambda *a, **kw: fake)
+    def one_wrong(*args, **kwargs):
+        report = verify_against_oracle(*args, **kwargs)
+        return report._replace(oracle=[Verdict.ALWAYS_HIT, *report.oracle[1:]])
+
+    monkeypatch.setattr("lrucheck.cli.verify_against_oracle", one_wrong)
     code, out, err = run_cli(capsys, "verify", str(LOOP_JSON), *LOOP_FLAGS)
     assert code == 1
     assert out.startswith("DISAGREE: 2 accesses checked, 1 disagreements")
@@ -414,6 +418,30 @@ def test_config_file_errors(capsys, tmp_path):
         capsys, "analyze", str(LOOP_JSON), "--config", str(tmp_path / "missing.conf")
     )
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("analyze", "help", "1"),
+        ("analyze", "config", "/nonexistent.conf"),
+        ("analyze", "input", "x.json"),
+        ("bench", "corpus", "corpus"),
+    ],
+)
+def test_config_rejects_keys_a_default_cannot_set(capsys, tmp_path, command, key, value):
+    """Only optional, non-required flags other than --help and --config are config keys."""
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"{key} = {value}\n", encoding="utf-8")
+    out_file = tmp_path / "out.file"
+    if command == "bench":
+        argv = ["bench", "--corpus", str(REPO / "docs" / "examples"), "--out", str(out_file)]
+    else:
+        argv = ["analyze", str(LOOP_JSON), "--out", str(out_file)]
+    code, out, err = run_cli(capsys, *argv, "--config", str(conf))
+    assert (code, out) == (2, "")
+    assert err == f"error: {conf}:1: option {key!r} cannot be set in a config file\n"
+    assert not out_file.exists()
 
 
 def test_budget_exit_codes(capsys, tmp_path):

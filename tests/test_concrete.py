@@ -263,7 +263,7 @@ def assert_oracle_matches_spec(pg, space, init):
     """Decoded oracle states equal the spec's at every vertex, and so do verdicts."""
     reach = collecting_semantics(pg, space, init)
     want = reference_collecting(pg, space, init)
-    assert age_reach(space, reach) == want, (pg.name, pg.set_index, space.k, init)
+    assert age_reach(space, reach) == want, (pg.name, space.blocks, space.k, init)
     k = space.k
     for a in accesses_of(pg):
         i = space.index_of(a.block)

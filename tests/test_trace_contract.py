@@ -18,12 +18,14 @@ from __future__ import annotations
 import contextlib
 import importlib.util
 import io
+import json
 from pathlib import Path
 
 import pytest
 
 from helpers import full_table, reference_collecting
 from lrucheck.cfg import CacheConfig, block_universe, load_cfg, project
+from lrucheck.cli import main
 from lrucheck.concrete import InitMode, StateSpace, collecting_semantics
 from lrucheck.focused import focused_reach, initial_focused, unsimplified_model
 
@@ -76,8 +78,6 @@ def test_oracle_extractor_reads_real_values(tracing, k2_config, loop2):
 
 def traced_main(tracing, argv):
     """Run the CLI under the tracer; every wrapped name must resolve."""
-    from lrucheck.cli import main
-
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -107,6 +107,12 @@ def test_traced_analysis_reports_focused_metrics(tracing):
 def test_traced_ai_mc_reports_model_and_check_times(tracing):
     tracer = traced_analyze(tracing, "ai+mc")
     summary = tracer.summary(passes=1)
+    # The extractor reads the classification's counters; pin the share to the report's.
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["analyze", *LOOP_ARGS, "--mode", "ai+mc"]) == 0
+    stats = json.loads(out.getvalue())["stats"]
+    assert stats["mc_access_checks"] > 0
+    assert summary["classify.residual_share"][0] == stats["mc_access_checks"] / stats["accesses"]
     assert "focused.model_s" in summary
     assert "focused.check_s" in summary
     calls = [sp.name for sp in tracer.spans]
