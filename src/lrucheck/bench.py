@@ -5,8 +5,9 @@ three constructs (straight edges, branch diamonds, natural loops), so the same
 GenSpec always yields the same graph.  Loop bodies re-access at least two
 distinct blocks when the universe allows, which is the shape that makes cache
 classification interesting: the second iteration hits where the first missed.
-Each program is built once, as a CFG JSON document: `generate_json` writes
-that document as built, and `generate` parses it into a `Cfg`.
+Each program is built once, as the rows of a CFG JSON document:
+`generate_json` joins them into the document's text, and `generate` parses
+that text into a `Cfg`.
 
 The harness runs the classification pipeline over a corpus in several modes
 and emits one CSV row per (program, mode) with verdict, provenance and work
@@ -16,18 +17,16 @@ counters, so modes can be compared program by program.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 import random
-from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Optional, Sequence
 
 from .cfg import CacheConfig, Cfg, parse_cfg
 from .classify import ClassifyResult, Mode, Provenance, classify_all
 from .concrete import InitMode
 from .focused import DEFAULT_MC_BUDGET, FocusedCapacityError
-from .report import dumps_indented
 
 log = logging.getLogger(__name__)
 
@@ -40,8 +39,17 @@ class GenError(Exception):
     """The generator budget cannot accommodate the requested shape."""
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class _GenKnobs(NamedTuple):
+    vertices: int = 10
+    loops: int = 1
+    depth: int = 1
+    branch_p: float = 0.3
+    blocks: int = 4
+    access_p: float = 0.7
+    seed: int = 0
+
+
+class GenSpec(_GenKnobs):
     """Knobs for one synthetic program.
 
     vertices: total vertex budget (the generator never exceeds it).
@@ -51,17 +59,14 @@ class GenSpec:
     blocks: size of the block universe accesses are drawn from.
     access_p: probability that a generated edge carries an access.
     seed: RNG seed; same spec, same graph.
+
+    Construction checks the ranges (`_replace` does not).
     """
 
-    vertices: int = 10
-    loops: int = 1
-    depth: int = 1
-    branch_p: float = 0.3
-    blocks: int = 4
-    access_p: float = 0.7
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "GenSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if self.vertices < 2:
             raise ValueError(f"vertex budget must be >= 2, got {self.vertices}")
         if self.loops < 0 or self.depth < 0:
@@ -71,18 +76,25 @@ class GenSpec:
         for name, p in (("branch_p", self.branch_p), ("access_p", self.access_p)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {p}")
+        return self
 
 
 _LOOP_COST = 3  # header plus two body vertices
 
 
 class _Builder:
+    """Builds one program as vertex names and edge rows.
+
+    An edge row is the text of an edge object's members in the indented
+    document, so `generate_json` only joins the rows.
+    """
+
     def __init__(self, spec: GenSpec, config: CacheConfig):
         self.spec = spec
         self.config = config
         self.rng = random.Random(spec.seed)
         self.vertices = ["v0"]
-        self.edges: list[dict] = []
+        self.edges: list[str] = []
 
     def new_vertex(self) -> str:
         name = f"v{len(self.vertices)}"
@@ -92,8 +104,8 @@ class _Builder:
     def add_edge(self, src: str, dst: str, block: Optional[int] = None, maybe: bool = True) -> None:
         if block is None and maybe and self.rng.random() < self.spec.access_p:
             block = self.rng.randrange(self.spec.blocks)
-        access = None if block is None else block * self.config.block_size
-        self.edges.append({"from": src, "to": dst, "access": access})
+        access = "null" if block is None else block * self.config.block_size
+        self.edges.append(f'"from": "{src}",\n      "to": "{dst}",\n      "access": {access}')
 
     def budget_left(self) -> int:
         return self.spec.vertices - len(self.vertices)
@@ -140,8 +152,8 @@ class _Builder:
                 cur = nxt
 
 
-def _document(spec: GenSpec, config: CacheConfig, name: Optional[str]) -> dict:
-    """The CFG JSON document of one synthetic program.
+def _build(spec: GenSpec, config: CacheConfig) -> _Builder:
+    """The built program of `spec`.
 
     Raises GenError when the vertex budget cannot fit the requested loops.
     """
@@ -152,12 +164,7 @@ def _document(spec: GenSpec, config: CacheConfig, name: Optional[str]) -> dict:
         )
     builder = _Builder(spec, config)
     builder.build()
-    return {
-        "name": name or f"gen{spec.seed}",
-        "entry": "v0",
-        "vertices": builder.vertices,
-        "edges": builder.edges,
-    }
+    return builder
 
 
 def generate(spec: GenSpec, config: CacheConfig = DEFAULT_CONFIG, name: Optional[str] = None) -> Cfg:
@@ -167,16 +174,26 @@ def generate(spec: GenSpec, config: CacheConfig = DEFAULT_CONFIG, name: Optional
     generated corpora on disk hold exactly the programs built here.
     Raises GenError when the vertex budget cannot fit the requested loops.
     """
-    return parse_cfg(json.dumps(_document(spec, config, name)), config)
+    return parse_cfg(generate_json(spec, config, name), config)
 
 
 def generate_json(spec: GenSpec, config: CacheConfig = DEFAULT_CONFIG, name: Optional[str] = None) -> str:
-    """The JSON document of `generate`'s program, for writing corpora to disk.
+    """The CFG JSON document of one synthetic program, for writing corpora to disk.
 
-    The document is written as built, without parsing it; only the block
-    size of `config` is read.  Raises GenError like `generate`.
+    The text is `json.dumps(document, indent=2)` plus a newline, joined from
+    the builder's rows.  A vertex budget of at least 2 gives every program
+    a second vertex and an edge.  Only the block size of `config` is read.
+    Raises GenError when the vertex budget cannot fit the requested loops.
     """
-    return dumps_indented(_document(spec, config, name)) + "\n"
+    builder = _build(spec, config)
+    return (
+        '{\n  "name": ' + encode_basestring_ascii(name or f"gen{spec.seed}")
+        + ',\n  "entry": "v0",\n  "vertices": [\n    "'
+        + '",\n    "'.join(builder.vertices)
+        + '"\n  ],\n  "edges": [\n    {\n      '
+        + "\n    },\n    {\n      ".join(builder.edges)
+        + "\n    }\n  ]\n}\n"
+    )
 
 
 class ExperimentRow(NamedTuple):

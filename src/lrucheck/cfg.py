@@ -10,7 +10,6 @@ block of a different set is blanked out.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -27,26 +26,32 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
-class CacheConfig:
-    """Cache geometry: `associativity` ways, `num_sets` sets, lines of `block_size` bytes.
-
-    `num_sets` and `block_size` must be powers of two; `associativity` must be
-    at least one.  Addresses map to memory blocks by dropping the offset bits,
-    and blocks map to sets by block index modulo `num_sets`.
-    """
-
+class _Geometry(NamedTuple):
     associativity: int
     num_sets: int = 1
     block_size: int = 16
 
-    def __post_init__(self) -> None:
+
+class CacheConfig(_Geometry):
+    """Cache geometry: `associativity` ways, `num_sets` sets, lines of `block_size` bytes.
+
+    `num_sets` and `block_size` must be powers of two; `associativity` must be
+    at least one.  Construction checks them (`_replace` does not).  Addresses
+    map to memory blocks by dropping the offset bits, and blocks map to sets
+    by block index modulo `num_sets`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "CacheConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.associativity < 1:
             raise ValueError(f"associativity must be >= 1, got {self.associativity}")
         if not _is_power_of_two(self.num_sets):
             raise ValueError(f"num_sets must be a power of two, got {self.num_sets}")
         if not _is_power_of_two(self.block_size):
             raise ValueError(f"block_size must be a power of two, got {self.block_size}")
+        return self
 
     def block_index_of(self, address: int) -> int:
         return address // self.block_size
@@ -59,9 +64,12 @@ class CacheConfig:
         return MemoryBlock(idx, self.set_of_block(idx))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class MemoryBlock:
-    """One cache-line-sized block of memory, identified by its block index."""
+class MemoryBlock(NamedTuple):
+    """One cache-line-sized block of memory, identified by its block index.
+
+    Blocks, edges and access identities are tuples of their fields: they hash
+    and sort like those tuples, and equal a plain tuple with the same fields.
+    """
 
     index: int
     set_index: int
@@ -70,8 +78,7 @@ class MemoryBlock:
         return f"b{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     """A CFG edge.  `block` is the accessed memory block, or None for no access."""
 
     src: str
@@ -79,17 +86,30 @@ class Edge:
     dst: str
 
 
-@dataclass(frozen=True)
 class Cfg:
     """A control-flow graph: a parsed program, or its projection onto one cache set.
 
     Edge order is the declaration order.
     """
 
-    entry: str
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    name: str = "cfg"
+    def __init__(
+        self, entry: str, vertices: tuple[str, ...], edges: tuple[Edge, ...], name: str = "cfg"
+    ) -> None:
+        self.entry = entry
+        self.vertices = vertices
+        self.edges = edges
+        self.name = name
+
+    def _key(self) -> tuple:
+        return (self.entry, self.vertices, self.edges, self.name)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Cfg:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return "Cfg(entry=%r, vertices=%r, edges=%r, name=%r)" % self._key()
 
     @cached_property
     def blanked(self) -> tuple[Edge, ...]:
@@ -100,8 +120,7 @@ class Cfg:
         return tuple(e if e.block is None else Edge(e.src, None, e.dst) for e in self.edges)
 
 
-@dataclass(frozen=True, order=True)
-class AccessId:
+class AccessId(NamedTuple):
     """Stable identity of one access edge.
 
     `ordinal` disambiguates parallel edges that access the same block between
@@ -129,8 +148,9 @@ def parse_cfg(text: str, config: CacheConfig, name: str = "cfg") -> Cfg:
     The document is an object with keys `entry` (vertex name), `vertices`
     (array of distinct names), `edges` (array of `{from, to, access}` where
     `access` is a byte address or null) and optional `name`.  Unknown keys are
-    rejected.  Syntax errors carry the offending position.  Each check builds
-    its message only when it fails.
+    rejected.  Syntax errors carry the offending position, and nesting too
+    deep for the JSON decoder is an error too.  Each check builds its message
+    only when it fails.
     """
     if text.startswith("\ufeff"):
         raise CfgParseError("byte order mark not allowed; input must be plain UTF-8")
@@ -140,6 +160,8 @@ def parse_cfg(text: str, config: CacheConfig, name: str = "cfg") -> Cfg:
         raise CfgParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise CfgParseError("JSON nesting too deep") from exc
 
     if not isinstance(doc, dict):
         raise CfgParseError("top-level value must be an object")

@@ -31,7 +31,6 @@ import enum
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .ai import EXISTS_HIT, EXISTS_MISS, MAY, MUST, Fixpoint, ai_classify, carried, fixpoint
@@ -87,7 +86,6 @@ class Mode(enum.Enum):
         return self.value
 
 
-@dataclass
 class PhaseStats:
     """Work and outcome counters for one classification run.
 
@@ -96,26 +94,30 @@ class PhaseStats:
     per-set steps add up the work counters and times.
     """
 
-    n_accesses: int = 0
-    verdict_counts: Counter = field(default_factory=Counter)
-    provenance_counts: Counter = field(default_factory=Counter)
-    focused_runs: int = 0
-    mc_access_checks: int = 0
-    states_explored: int = 0
-    t_ai_ms: float = 0.0
-    t_mc_ms: float = 0.0
+    def __init__(self) -> None:
+        self.n_accesses = 0
+        self.verdict_counts: Counter = Counter()
+        self.provenance_counts: Counter = Counter()
+        self.focused_runs = 0
+        self.mc_access_checks = 0
+        self.states_explored = 0
+        self.t_ai_ms = 0.0
+        self.t_mc_ms = 0.0
 
 
 class ClassifyResult(NamedTuple):
     """Verdicts in the program's access order, with the run's counters.
 
     `sets` holds each cache set's projected graph and state space, in set
-    order (a projection's set is its position), so the oracle can reuse them.
+    order (a projection's set is its position), and `order` the program's
+    `reverse_post_order`, which serves every projection, so the oracle can
+    reuse them.
     """
 
     verdicts: list[FinalVerdict]
     stats: PhaseStats
     sets: list[tuple[Cfg, StateSpace]]
+    order: tuple[str, ...]
 
 
 def _final_flags(verdict: Verdict, reachable: bool) -> tuple[bool, bool]:
@@ -299,7 +301,7 @@ def classify_all(
     stats.verdict_counts.update(fv.verdict.value if fv.verdict else "unknown" for fv in ordered)
     stats.provenance_counts.update(fv.provenance.value for fv in ordered)
     stats.mc_access_checks = sum(stats.provenance_counts[p.value] for p in MC_PROVENANCES)
-    return ClassifyResult(ordered, stats, sets)
+    return ClassifyResult(ordered, stats, sets, order)
 
 
 def agrees(fv: FinalVerdict, truth: Verdict) -> bool:
@@ -358,7 +360,7 @@ def verify_against_oracle(
 ) -> OracleReport:
     """Compare pipeline verdicts against exhaustive concrete enumeration.
 
-    The oracle reuses the projections and state spaces of the
+    The oracle reuses the projections, state spaces and program order of the
     classification, one set at a time.  Whether a verdict is a disagreement
     is `agrees`'s answer.
     """
@@ -369,6 +371,8 @@ def verify_against_oracle(
     truths: dict[AccessId, Verdict] = {}
     for (pg, space), accesses in zip(result.sets, by_set):
         if accesses:
-            reach = collecting_semantics(pg, space, init, budget=oracle_budget)
+            reach = collecting_semantics(
+                pg, space, init, budget=oracle_budget, order=result.order
+            )
             truths.update((a, exact_classify(space, reach, a)) for a in accesses)
     return OracleReport(result, [truths[fv.access] for fv in result.verdicts])

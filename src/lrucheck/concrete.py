@@ -26,8 +26,8 @@ import itertools
 import math
 from collections import deque
 from collections.abc import Iterator, Mapping, Set
-from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional, Sequence
 
 from .cfg import AccessId, Cfg, MemoryBlock, out_edges, reverse_post_order
 from .verdict import Verdict
@@ -53,7 +53,6 @@ class InitMode(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
 class StateSpace:
     """A fixed block universe plus associativity.
 
@@ -61,16 +60,15 @@ class StateSpace:
     `blocks`, so one shared object fixes the meaning of every state.
     """
 
-    k: int
-    blocks: tuple[MemoryBlock, ...]
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"associativity must be >= 1, got {self.k}")
-        if tuple(sorted(self.blocks)) != self.blocks:
+    def __init__(self, k: int, blocks: tuple[MemoryBlock, ...]) -> None:
+        if k < 1:
+            raise ValueError(f"associativity must be >= 1, got {k}")
+        if tuple(sorted(blocks)) != blocks:
             raise ValueError("blocks must be sorted")
-        if len(set(self.blocks)) != len(self.blocks):
+        if len(set(blocks)) != len(blocks):
             raise ValueError("blocks must be distinct")
+        self.k = k
+        self.blocks = blocks
 
     @cached_property
     def _index(self) -> dict[MemoryBlock, int]:
@@ -85,7 +83,6 @@ class StateSpace:
         return sum(math.perm(n, c) for c in range(min(self.k, n) + 1))
 
 
-@dataclass(frozen=True, eq=False)
 class AllStates(Set[ConcreteState]):
     """Every state of `space`, enumerated lazily: an unknown cache.
 
@@ -95,7 +92,8 @@ class AllStates(Set[ConcreteState]):
     states: a tuple of at most k distinct positions in `space.blocks`.
     """
 
-    space: StateSpace
+    def __init__(self, space: StateSpace) -> None:
+        self.space = space
 
     def __len__(self) -> int:
         return self.space.count_states()
@@ -137,6 +135,8 @@ def collecting_semantics(
     space: StateSpace,
     init: InitMode = InitMode.EMPTY,
     budget: int = DEFAULT_ORACLE_BUDGET,
+    *,
+    order: Optional[Sequence[str]] = None,
 ) -> dict[str, Set[ConcreteState]]:
     """Exact per-vertex reachable cache-state sets.
 
@@ -147,7 +147,8 @@ def collecting_semantics(
     that can be in every state holds one shared `AllStates`; every other
     vertex holds a frozenset.  Raises OracleCapacityError when the total
     number of (vertex, state) pairs, every state of an `AllStates` counted,
-    exceeds `budget`.
+    exceeds `budget`.  `order`, when given, is the graph's
+    `reverse_post_order`: the program's serves each of its projections.
     """
     # Check the seed count before any work: an unknown cache over a large
     # universe has more initial states than any budget can hold.
@@ -165,7 +166,8 @@ def collecting_semantics(
     reach: dict[str, Set[ConcreteState]] = {v: set() for v in g.vertices}
     reach[g.entry] = {()} if init is InitMode.EMPTY else full
 
-    order = reverse_post_order(g, adj)
+    if order is None:
+        order = reverse_post_order(g, adj)
     work = deque(order)
     queued = set(order)
     while work:

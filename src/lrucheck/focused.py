@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cfg import AccessId, Adjacency, Cfg, Edge, MemoryBlock
@@ -68,7 +67,6 @@ class FocusedCapacityError(Exception):
 EPSILON_MASK = -1
 
 
-@dataclass(frozen=True)
 class FocusedSeeds:
     """The masks a search starts from, in search order, enumerated lazily.
 
@@ -79,9 +77,10 @@ class FocusedSeeds:
     search budget stops the enumeration too.
     """
 
-    positions: tuple[int, ...]
-    k: int
-    init: InitMode
+    def __init__(self, positions: tuple[int, ...], k: int, init: InitMode) -> None:
+        self.positions = positions
+        self.k = k
+        self.init = init
 
     def __len__(self) -> int:
         if self.init is InitMode.EMPTY:
@@ -93,17 +92,30 @@ class FocusedSeeds:
         if self.init is InitMode.UNKNOWN:
             yield 0
             if self.k > 1:
-                yield from _extensions(self.positions, 0, 0, self.k - 1)
+                yield from _extensions(self.positions, self.k - 1)
         yield EPSILON_MASK
 
 
-def _extensions(positions: tuple[int, ...], start: int, mask: int, room: int) -> Iterator[int]:
-    """Masks extending `mask` by up to `room` of `positions[start:]`, in pre-order."""
-    for j in range(start, len(positions)):
-        grown = mask | 1 << positions[j]
-        yield grown
-        if room > 1:
-            yield from _extensions(positions, j + 1, grown, room - 1)
+def _extensions(positions: tuple[int, ...], room: int) -> Iterator[int]:
+    """Masks of 1 to `room` >= 1 of `positions`, ascending tuples in lexicographic order.
+
+    That is the pre-order of the tree in which each set's children extend it
+    by one later position.  The walk keeps one (mask, remaining positions)
+    entry per level on a list, not on the call stack, so any number of
+    positions fits.
+    """
+    n = len(positions)
+    stack = [(0, iter(range(n)))]
+    while stack:
+        mask, rest = stack[-1]
+        for j in rest:
+            grown = mask | 1 << positions[j]
+            yield grown
+            if len(stack) < room:
+                stack.append((grown, iter(range(j + 1, n))))
+                break
+        else:
+            stack.pop()
 
 
 def initial_focused(positions: Sequence[int], k: int, init: InitMode) -> FocusedSeeds:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -624,7 +623,7 @@ def test_skeleton_fixpoints_on_search_cases(init):
     # Each program at its own associativity and at k = 8.
     for name, config, g in search_cases():
         for k in sorted({config.associativity, 8}):
-            geometry = replace(config, associativity=k)
+            geometry = CacheConfig(k, config.num_sets, config.block_size)
             for s in range(config.num_sets):
                 pg = project(g, s, geometry)
                 space = StateSpace(k=k, blocks=block_universe(pg))

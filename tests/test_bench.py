@@ -6,12 +6,13 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import math
 import runpy
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import build_cfg, small_config
 from lrucheck.bench import (
@@ -28,7 +29,7 @@ from lrucheck.bench import (
     summarize,
     write_csv,
 )
-from lrucheck.cfg import parse_cfg
+from lrucheck.cfg import CacheConfig, parse_cfg
 from lrucheck.classify import Mode, classify_all
 from lrucheck.cli import main
 
@@ -158,6 +159,34 @@ def test_generate_json_roundtrip():
     assert parsed.entry == g.entry
     assert parsed.vertices == g.vertices
     assert parsed.edges == g.edges
+
+
+@st.composite
+def gen_specs(draw):
+    """Any feasible GenSpec: budgets from 2, zero or more loops, access_p 0 to 1."""
+    vertices = draw(st.integers(2, 40))
+    loops = draw(st.integers(0, (vertices - 1) // 3))
+    return GenSpec(
+        vertices=vertices,
+        loops=loops,
+        depth=draw(st.integers(0, 3)),
+        branch_p=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        blocks=draw(st.integers(1, 6)),
+        access_p=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        seed=draw(st.integers(0, 10**6)),
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    gen_specs(),
+    st.sampled_from([1, 8, 32, 256]),
+    st.sampled_from([None, "p", "name with \"quotes\" and é"]),
+)
+def test_generate_json_is_indented_json(spec, block_size, name):
+    config = CacheConfig(associativity=4, num_sets=8, block_size=block_size)
+    text = generate_json(spec, config, name)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 #: The benchmark's pinned workloads, read from their file without importing

@@ -239,6 +239,7 @@ def test_verify_projects_each_set_once(monkeypatch, mode):
 def test_focused_searches_share_the_set_successor_table(monkeypatch, mode):
     import lrucheck.cfg
     import lrucheck.classify
+    import lrucheck.concrete
 
     tables, orders = [], []
     real_out_edges = lrucheck.cfg.out_edges
@@ -255,6 +256,7 @@ def test_focused_searches_share_the_set_successor_table(monkeypatch, mode):
     monkeypatch.setattr(lrucheck.cfg, "out_edges", counting_out_edges)
     monkeypatch.setattr(lrucheck.cfg, "reverse_post_order", counting_order)
     monkeypatch.setattr(lrucheck.classify, "reverse_post_order", counting_order)
+    monkeypatch.setattr(lrucheck.concrete, "reverse_post_order", counting_order)
     name, config, g = corpus_programs(3, base_seed=300, sets=None)[2]
     result = classify_all(g, config, InitMode.UNKNOWN, mode)
     if mode is not Mode.AI_ONLY:
@@ -264,6 +266,11 @@ def test_focused_searches_share_the_set_successor_table(monkeypatch, mode):
     assert orders == ["Cfg"]
     want = [g] + [pg for pg, _ in result.sets if accesses_of(pg)]
     assert [id(t) for t in tables] == [id(t) for t in want]
+    # The oracle of `verify` walks every projection in that same order.
+    orders.clear()
+    report = verify_against_oracle(g, config, InitMode.UNKNOWN, mode)
+    assert report.n_checked > 0
+    assert orders == ["Cfg"]
 
 
 def test_accesses_split_by_set_match_the_projections():

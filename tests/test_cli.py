@@ -503,6 +503,31 @@ def test_focused_budget_bounds_unknown_seeds(capsys, tmp_path):
     assert "more than 1000" in err
 
 
+def test_focused_budget_bounds_a_seed_deeper_than_the_stack(capsys, tmp_path):
+    # A straight line of 1,100 distinct blocks in one 2048-way set: the
+    # unknown-cache seeds of the first block's search grow one block at a
+    # time, deeper than Python's recursion limit, before 5000 seeds trip the
+    # budget.
+    n = 1100
+    path = tmp_path / "line.json"
+    path.write_text(cfg_text(
+        "v0", [f"v{i}" for i in range(n + 1)], [(f"v{i}", f"v{i + 1}", 8 * i) for i in range(n)]
+    ), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "analyze", str(path), "--assoc", "2048", "--sets", "1", "--block-size", "8",
+        "--init", "unknown", "--mode", "mc-only", "--budget-mc", "5000",
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: focused search needs more than 5000") and err.count("\n") == 1
+
+
+def test_deep_json_nesting_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out, err) == (2, "", "error: JSON nesting too deep\n")
+
+
 #: `analyze` reports of three generated programs per mode and initial cache:
 #: sha256 and `stats` block, recorded before the focused search moved to
 #: int states.  Larger graphs than docs/examples pin `states_explored`.

@@ -1,4 +1,4 @@
-"""What a fresh import of lrucheck costs."""
+"""What a fresh import of lrucheck costs, and the record shapes that keep it low."""
 
 from __future__ import annotations
 
@@ -8,29 +8,17 @@ import inspect
 import pkgutil
 
 import lrucheck
-
-#: The classes that stay dataclasses, each for a job a NamedTuple cannot do.
-KEPT_DATACLASSES = {
-    # validation in __post_init__
-    "cfg.CacheConfig", "concrete.StateSpace", "bench.GenSpec",
-    # a cached property
-    "cfg.Cfg",
-    # mutation
-    "classify.PhaseStats",
-    # a custom container
-    "concrete.AllStates", "focused.FocusedSeeds",
-    # hash keys of every access: tuple hashing would change the cost of every pass
-    "cfg.MemoryBlock", "cfg.Edge", "cfg.AccessId",
-}
+from lrucheck.cfg import AccessId, Edge, MemoryBlock
 
 
-def test_dataclasses_are_only_the_kept_ones():
-    """The package defines exactly the dataclasses that do a job.
+def test_no_class_is_a_dataclass():
+    """The package defines no dataclass.
 
     The dataclass decorator generates and compiles the methods of its class
     at every fresh import, and the benchmark imports the package afresh
-    before every corpus pass.  A plain record is a `typing.NamedTuple`, whose
-    class is built without that work.
+    before every corpus pass.  A record is a `typing.NamedTuple`, whose
+    class is built without that work, or a plain class whose few methods
+    are written out.
     """
     found = set()
     for info in pkgutil.iter_modules(lrucheck.__path__):
@@ -42,4 +30,29 @@ def test_dataclasses_are_only_the_kept_ones():
                 and dataclasses.is_dataclass(obj)
             ):
                 found.add(f"{info.name}.{name}")
-    assert found == KEPT_DATACLASSES
+    assert found == set()
+
+
+def test_access_keys_hash_and_sort_like_their_field_tuples():
+    """Blocks, edges and access identities hash and sort as the frozen
+    dataclasses they replaced did, so set orders and sorted output stay put."""
+    blocks = [MemoryBlock(i, i % 3) for i in (7, 0, 12, 3, 5, 1)]
+    for b in blocks:
+        assert hash(b) == hash((b.index, b.set_index))
+    assert sorted(blocks) == [MemoryBlock(*t) for t in sorted(tuple(b) for b in blocks)]
+    assert [tuple(b) for b in set(blocks)] == list({tuple(b) for b in blocks})
+    assert [repr(b) for b in blocks[:2]] == ["b7", "b0"]
+
+    edges = [Edge("a", blocks[0], "b"), Edge("b", None, "a"), Edge("a", None, "a")]
+    for e in edges:
+        assert hash(e) == hash((e.src, e.block, e.dst))
+
+    ids = [
+        AccessId("b", "c", blocks[1], 0), AccessId("a", "c", blocks[2], 1),
+        AccessId("a", "c", blocks[2], 0), AccessId("a", "b", blocks[0], 0),
+    ]
+    for a in ids:
+        assert hash(a) == hash((a.src, a.dst, a.block, a.ordinal))
+    want = sorted((a.src, a.dst, (a.block.index, a.block.set_index), a.ordinal) for a in ids)
+    assert [(a.src, a.dst, tuple(a.block), a.ordinal) for a in sorted(ids)] == want
+    assert ids[0].label == "b->c:b0#0"
