@@ -148,9 +148,9 @@ def parse_cfg(text: str, config: CacheConfig, name: str = "cfg") -> Cfg:
     The document is an object with keys `entry` (vertex name), `vertices`
     (array of distinct names), `edges` (array of `{from, to, access}` where
     `access` is a byte address or null) and optional `name`.  Unknown keys are
-    rejected.  Syntax errors carry the offending position, and nesting too
-    deep for the JSON decoder is an error too.  Each check builds its message
-    only when it fails.
+    rejected.  Syntax errors carry the offending position; nesting too deep
+    for the JSON decoder and an integer too long to convert are errors too.
+    Each check builds its message only when it fails.
     """
     if text.startswith("\ufeff"):
         raise CfgParseError("byte order mark not allowed; input must be plain UTF-8")
@@ -162,6 +162,8 @@ def parse_cfg(text: str, config: CacheConfig, name: str = "cfg") -> Cfg:
         ) from exc
     except RecursionError as exc:
         raise CfgParseError("JSON nesting too deep") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise CfgParseError(f"invalid JSON: {exc}") from exc
 
     if not isinstance(doc, dict):
         raise CfgParseError("top-level value must be an object")

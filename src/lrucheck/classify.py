@@ -8,10 +8,11 @@ checking them) and halves the work for the rest.
 
 Each access has one record throughout, a `verdict.FinalVerdict`: the
 abstract phase gives every access one, and the model-checking step replaces
-only the unresolved ones.  A set's graph is a `Cfg`, the projection, and its
-set is its position in `ClassifyResult.sets`.  The outcome counters of
-`PhaseStats` are counted once from the final verdicts, and `OracleReport`
-keeps the oracle's verdict next to each of them; its totals are derived.
+only the unresolved ones.  A set's graph is a `Cfg`, the projection, keyed
+by its set in `ClassifyResult.sets`; sets no access maps to are skipped.
+The outcome counters of `PhaseStats` are counted once from the final
+verdicts, and `OracleReport` keeps the oracle's verdict next to each of
+them; its totals are derived.
 
 Both phases run on the set's access skeleton (`cfg.skeleton`): the entry
 and the access sources, the only vertices either phase reads, with each
@@ -108,8 +109,8 @@ class PhaseStats:
 class ClassifyResult(NamedTuple):
     """Verdicts in the program's access order, with the run's counters.
 
-    `sets` holds each cache set's projected graph and state space, in set
-    order (a projection's set is its position), and `order` the program's
+    `sets` maps each cache set that some access maps to, in ascending order,
+    to its projected graph and state space, and `order` is the program's
     `reverse_post_order`, which serves every projection, so the oracle can
     reuse them.
     """
@@ -199,17 +200,19 @@ def abstract_phase(
     return SetAnalysis(pg, space, accesses, verdicts, may, adj)
 
 
-def accesses_by_set(g: Cfg, num_sets: int) -> tuple[list[AccessId], list[list[AccessId]]]:
+def accesses_by_set(g: Cfg) -> tuple[list[AccessId], dict[int, list[AccessId]]]:
     """`accesses_of(g)`, and the same accesses split by cache set.
 
-    Projection keeps a set's access edges in order and with their identities,
-    so the list of set s is `accesses_of(project(g, s, config))`.
+    Only the sets some access maps to appear, in ascending order, so the
+    cost follows the program, not the number of sets.  Projection keeps a
+    set's access edges in order and with their identities, so the list of
+    set s is `accesses_of(project(g, s, config))`.
     """
     accesses = accesses_of(g)
-    by_set: list[list[AccessId]] = [[] for _ in range(num_sets)]
+    by_set: dict[int, list[AccessId]] = {}
     for a in accesses:
-        by_set[a.block.set_index].append(a)
-    return accesses, by_set
+        by_set.setdefault(a.block.set_index, []).append(a)
+    return accesses, {s: by_set[s] for s in sorted(by_set)}
 
 
 def _model_check(reach: FocusedReach, fv: FinalVerdict) -> FinalVerdict:
@@ -253,7 +256,7 @@ def _classify_set(
         checked: dict[AccessId, FinalVerdict] = {}
         for block, group in analysis.residual_by_block().items():
             model = unsimplified_model(pg, block, analysis.space, analysis.adj)
-            seeds = initial_focused(model.positions, k, init)
+            seeds = initial_focused(init)
             goals = [(fv.access.src, fv.exists_hit, fv.exists_miss) for fv in group]
             reach = focused_reach(model, seeds, goals, budget=mc_budget)
             stats.focused_runs += 1
@@ -284,18 +287,18 @@ def classify_all(
     Results are merged in set order and reported in the program's access
     order; the outcome counters of `stats` are counted from them.
     """
-    accesses, by_set = accesses_by_set(g, config.num_sets)
+    accesses, by_set = accesses_by_set(g)
     order = tuple(reverse_post_order(g))
     merged: dict[AccessId, FinalVerdict] = {}
     stats = PhaseStats()
-    sets: list[tuple[Cfg, StateSpace]] = []
-    for s in range(config.num_sets):
+    sets: dict[int, tuple[Cfg, StateSpace]] = {}
+    for s, set_accesses in by_set.items():
         pg = project(g, s, config)
         verdicts, space = _classify_set(
-            pg, config.associativity, init, mode, mc_budget, by_set[s], order, stats
+            pg, config.associativity, init, mode, mc_budget, set_accesses, order, stats
         )
         merged.update((fv.access, fv) for fv in verdicts)
-        sets.append((pg, space))
+        sets[s] = (pg, space)
     ordered = [merged[a] for a in accesses]
     stats.n_accesses = len(ordered)
     stats.verdict_counts.update(fv.verdict.value if fv.verdict else "unknown" for fv in ordered)
@@ -365,14 +368,11 @@ def verify_against_oracle(
     is `agrees`'s answer.
     """
     result = classify_all(g, config, init, mode, mc_budget=mc_budget)
-    by_set: list[list[AccessId]] = [[] for _ in result.sets]
+    by_set: dict[int, list[AccessId]] = {}
     for fv in result.verdicts:
-        by_set[fv.access.block.set_index].append(fv.access)
+        by_set.setdefault(fv.access.block.set_index, []).append(fv.access)
     truths: dict[AccessId, Verdict] = {}
-    for (pg, space), accesses in zip(result.sets, by_set):
-        if accesses:
-            reach = collecting_semantics(
-                pg, space, init, budget=oracle_budget, order=result.order
-            )
-            truths.update((a, exact_classify(space, reach, a)) for a in accesses)
+    for s, (pg, space) in result.sets.items():
+        reach = collecting_semantics(pg, space, init, budget=oracle_budget, order=result.order)
+        truths.update((a, exact_classify(space, reach, a)) for a in by_set[s])
     return OracleReport(result, [truths[fv.access] for fv in result.verdicts])

@@ -307,13 +307,11 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
 
     written: list[str] = []
     known_blocks: set[int] = set()
-    _, by_set = accesses_by_set(g, config.num_sets)
+    _, by_set = accesses_by_set(g)
     order = tuple(reverse_post_order(g))
-    for s in range(config.num_sets):
+    for s, accesses in by_set.items():
         pg = project(g, s, config)
-        analysis = abstract_phase(pg, config.associativity, init, mode, by_set[s], order)
-        if not analysis.accesses:
-            continue
+        analysis = abstract_phase(pg, config.associativity, init, mode, accesses, order)
         known_blocks.update(b.index for b in analysis.space.blocks)
         # The models render every edge, so they take the full table, not
         # the skeleton the analysis ran on.

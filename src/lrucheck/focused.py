@@ -36,19 +36,22 @@ Epsilon is `EPSILON_MASK`, -1: OR-ing any bit into it leaves it -1, so the
 transfer needs no case for it.  An access to the focus gives 0; any other
 access ORs in the block's bit, and a mask of k or more bits becomes epsilon.
 
+An unknown initial cache could hold the focus behind any younger-set of
+fewer than k blocks, but the search starts from two seeds only, 0 and
+epsilon (see `initial_focused`): the update is monotone under set inclusion,
+so they reach every cached state and every epsilon that any seed reaches.
+
 The search order is fixed, because the number of pairs a search explores
-before its refutation goals are met is part of every report: seeds come in
-lexicographic order of their ascending position tuples (so every set before
-its extensions), epsilon last; the work list is FIFO; successors are visited
-in edge order.
+before its refutation goals are met is part of every report: the seeds come
+first (0 before epsilon); the work list is FIFO; successors are visited in
+edge order.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections import deque
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cfg import AccessId, Adjacency, Cfg, Edge, MemoryBlock
 from .ai import Fixpoint, field_width
@@ -67,60 +70,22 @@ class FocusedCapacityError(Exception):
 EPSILON_MASK = -1
 
 
-class FocusedSeeds:
-    """The masks a search starts from, in search order, enumerated lazily.
+def initial_focused(init: InitMode) -> tuple[int, ...]:
+    """Seed masks of a search, in search order.
 
     An empty cache never holds the focus: the only seed is EPSILON_MASK.  An
-    unknown cache may hold it behind any younger set of fewer than k blocks at
-    `positions`, or not hold it at all.  `len` counts the seeds from binomials
-    without enumerating them, and iteration yields one mask at a time, so a
-    search budget stops the enumeration too.
+    unknown cache holds it behind any younger set of fewer than k blocks, or
+    not at all, but two seeds stand for all of them.  The focused update is
+    monotone under set inclusion with epsilon on top, so along any path the
+    image of 0 lies inside the image of every younger-set, which lies inside
+    the image of epsilon.  A cached state therefore reaches a vertex from
+    some seed exactly when one reaches it from 0, and epsilon reaches it from
+    some seed exactly when it does from EPSILON_MASK; those two facts are all
+    that `check_access`, the refutation goals and reachability read.
     """
-
-    def __init__(self, positions: tuple[int, ...], k: int, init: InitMode) -> None:
-        self.positions = positions
-        self.k = k
-        self.init = init
-
-    def __len__(self) -> int:
-        if self.init is InitMode.EMPTY:
-            return 1
-        n = len(self.positions)
-        return sum(math.comb(n, c) for c in range(min(self.k - 1, n) + 1)) + 1
-
-    def __iter__(self) -> Iterator[int]:
-        if self.init is InitMode.UNKNOWN:
-            yield 0
-            if self.k > 1:
-                yield from _extensions(self.positions, self.k - 1)
-        yield EPSILON_MASK
-
-
-def _extensions(positions: tuple[int, ...], room: int) -> Iterator[int]:
-    """Masks of 1 to `room` >= 1 of `positions`, ascending tuples in lexicographic order.
-
-    That is the pre-order of the tree in which each set's children extend it
-    by one later position.  The walk keeps one (mask, remaining positions)
-    entry per level on a list, not on the call stack, so any number of
-    positions fits.
-    """
-    n = len(positions)
-    stack = [(0, iter(range(n)))]
-    while stack:
-        mask, rest = stack[-1]
-        for j in rest:
-            grown = mask | 1 << positions[j]
-            yield grown
-            if len(stack) < room:
-                stack.append((grown, iter(range(j + 1, n))))
-                break
-        else:
-            stack.pop()
-
-
-def initial_focused(positions: Sequence[int], k: int, init: InitMode) -> FocusedSeeds:
-    """Seed masks of a search over the younger-set universe at `positions`."""
-    return FocusedSeeds(tuple(positions), k, init)
+    if init is InitMode.UNKNOWN:
+        return (0, EPSILON_MASK)
+    return (EPSILON_MASK,)
 
 
 class FocusedModel(NamedTuple):
@@ -134,8 +99,7 @@ class FocusedModel(NamedTuple):
     is the table's.  `graph` is the projection the table was built from; its
     cache set is `focus.set_index`.
 
-    The alphabet of younger sets is every block but the focus: `universe`,
-    at positions `positions` of `blocks`.
+    The alphabet of younger sets is every block but the focus: `universe`.
     """
 
     graph: Cfg
@@ -151,10 +115,6 @@ class FocusedModel(NamedTuple):
     @property
     def universe(self) -> tuple[MemoryBlock, ...]:
         return tuple(b for b in self.blocks if b != self.focus)
-
-    @property
-    def positions(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.blocks) if b != self.focus)
 
     def edges(self) -> list[Edge]:
         """The model's edges in `graph`'s edge order; `succ` must be the full table.

@@ -583,6 +583,16 @@ def reference_seeds(universe, k, unknown):
     return states + [EPSILON]
 
 
+def all_seed_masks(model, init):
+    """Every younger-set seed of `model`'s search, as masks in reference order.
+
+    The search itself starts from two seeds (`focused.initial_focused`); these
+    are the initial states the two stand for, which `export-smv`'s INIT admits.
+    """
+    unknown = init is InitMode.UNKNOWN
+    return [encode_state(s, model.blocks) for s in reference_seeds(model.universe, model.k, unknown)]
+
+
 def reference_simplified_edges(pg, focus, may, k, space):
     """The may-based relabeling over the projection's edges, stated on its own.
 

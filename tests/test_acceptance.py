@@ -147,7 +147,7 @@ def test_check_2_straightline_focused_trace():
     by_index = {b.index: b for b in block_universe(pg)}
     focus = by_index[0]  # accessed third, then aged out by the last two accesses
     model = raw_model(pg, focus, 2)
-    init = initial_focused(model.positions, 2, InitMode.EMPTY)
+    init = initial_focused(InitMode.EMPTY)
     reach = focused_reach(model, init)
     states = decoded_states(reach)
     expected = {
@@ -508,7 +508,7 @@ def test_check_8_pruning_changes_no_search(corpus):
                             unsimplified_model(pg, block, space, table),
                             simplify_for(pg, block, analysis.may, space, table),
                         ):
-                            seeds = initial_focused(model.positions, k, init)
+                            seeds = initial_focused(init)
                             r = focused_reach(model, seeds, goal_set)
                             runs.append((r.states, r.explored, r.partial))
                         if runs[0] != runs[1]:

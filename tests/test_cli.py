@@ -29,7 +29,9 @@ LOOP_FLAGS = ["--assoc", "2", "--sets", "1", "--block-size", "8"]
 #: Reports of `analyze docs/examples/NAME.json` with LOOP_FLAGS and
 #: `--with-oracle`, per mode and initial cache, recorded before the abstract
 #: phase moved to two fixpoints over flat states; re-recorded when reports
-#: dropped `config.simplify` (schema version 2), with no other byte changed.
+#: dropped `config.simplify` (schema version 2), with no other byte changed,
+#: and when unknown-cache searches started from two seeds, with only
+#: `states_explored` changed.
 GOLDEN = REPO / "tests" / "golden"
 
 
@@ -488,37 +490,58 @@ def test_budgets_and_counts_below_one_are_usage_errors(capsys, tmp_path, command
 
 
 def test_focused_budget_bounds_unknown_seeds(capsys, tmp_path):
-    # One 6-way set over 40 blocks: an unknown cache gives each focused search
-    # Σ_{c<=5} C(39, c) + 1 = 667,929 seed states; the budget must stop their
-    # enumeration after the first thousand.
+    # One 6-way set over 40 blocks: an unknown cache may hold each focus
+    # behind any of Σ_{c<=5} C(39, c) = 667,928 younger-sets, but a search
+    # starts from two seeds, 0 and epsilon, so the default budget finishes
+    # at once, and a small budget still stops the search itself.
     run_cli(capsys, "gen", "--seed", "3", "--gen-vertices", "120", "--gen-loops", "10",
             "--gen-blocks", "40", "--outdir", str(tmp_path))
+    argv = ["analyze", str(tmp_path / "gen3.json"), "--init", "unknown", "--sets", "1",
+            "--assoc", "6", "--mode", "mc-only"]
     t0 = time.perf_counter()
-    code, out, err = run_cli(
-        capsys, "analyze", str(tmp_path / "gen3.json"), "--init", "unknown", "--sets", "1",
-        "--assoc", "6", "--budget-mc", "1000", "--mode", "mc-only",
-    )
+    code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0
-    assert code == 3
-    assert "more than 1000" in err
+    assert (code, err) == (0, "")
+    stats = json.loads(out)["stats"]
+    assert stats["focused_runs"] == 39
+    assert stats["states_explored"] < 39 * 2 * 120
+
+    code, out, err = run_cli(capsys, *argv, "--budget-mc", "100")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: focused search needs more than 100") and err.count("\n") == 1
 
 
 def test_focused_budget_bounds_a_seed_deeper_than_the_stack(capsys, tmp_path):
-    # A straight line of 1,100 distinct blocks in one 2048-way set: the
-    # unknown-cache seeds of the first block's search grow one block at a
-    # time, deeper than Python's recursion limit, before 5000 seeds trip the
-    # budget.
+    # A straight line of 1,100 distinct blocks in one 2048-way set, where the
+    # old seed enumeration grew younger-sets deeper than Python's recursion
+    # limit.  Each search now holds at most two states per vertex, so 5000
+    # pairs suffice; 1000 stop the search with the budget error.
     n = 1100
     path = tmp_path / "line.json"
     path.write_text(cfg_text(
         "v0", [f"v{i}" for i in range(n + 1)], [(f"v{i}", f"v{i + 1}", 8 * i) for i in range(n)]
     ), encoding="utf-8")
-    code, out, err = run_cli(
-        capsys, "analyze", str(path), "--assoc", "2048", "--sets", "1", "--block-size", "8",
-        "--init", "unknown", "--mode", "mc-only", "--budget-mc", "5000",
-    )
+    argv = ["analyze", str(path), "--assoc", "2048", "--sets", "1", "--block-size", "8",
+            "--init", "unknown", "--mode", "mc-only", "--out", str(tmp_path / "line.report")]
+    code, out, err = run_cli(capsys, *argv, "--budget-mc", "5000")
+    assert (code, out, err) == (0, "", "")
+    code, out, err = run_cli(capsys, *argv, "--budget-mc", "1000")
     assert (code, out) == (3, "")
-    assert err.startswith("error: focused search needs more than 5000") and err.count("\n") == 1
+    assert err.startswith("error: focused search needs more than 1000") and err.count("\n") == 1
+
+
+def test_set_count_does_not_set_the_cost(capsys, tmp_path):
+    # Only the sets some access maps to are visited: 2**30 sets cost what 1 does.
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "analyze", str(LOOP_JSON), "--sets", str(2**30),
+        "--out", str(tmp_path / "report.json"),
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out, err) == (0, "", "")
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["config"]["num_sets"] == 2**30
+    assert report["stats"]["accesses"] == 2
 
 
 def test_deep_json_nesting_is_an_input_error(capsys, tmp_path):
@@ -530,7 +553,9 @@ def test_deep_json_nesting_is_an_input_error(capsys, tmp_path):
 
 #: `analyze` reports of three generated programs per mode and initial cache:
 #: sha256 and `stats` block, recorded before the focused search moved to
-#: int states.  Larger graphs than docs/examples pin `states_explored`.
+#: int states, and re-recorded when unknown-cache searches started from two
+#: seeds, with only `states_explored` changed.  Larger graphs than
+#: docs/examples pin `states_explored`.
 GENERATED = json.loads((GOLDEN / "generated.json").read_text(encoding="utf-8"))
 
 

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import itertools
-import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     EPSILON,
     analyze_set,
+    all_seed_masks,
     all_states,
     alpha_focus,
     blocks_for,
@@ -34,6 +36,7 @@ from helpers import (
     update,
     update_focus,
 )
+from test_ai import random_programs
 from lrucheck.ai import MAY
 from lrucheck.bench import GenSpec, generate
 from lrucheck.cfg import (
@@ -44,7 +47,7 @@ from lrucheck.cfg import (
     block_universe,
     project,
 )
-from lrucheck.classify import Mode
+from lrucheck.classify import Mode, _model_check
 from lrucheck.concrete import InitMode, StateSpace
 from lrucheck.focused import (
     EPSILON_MASK,
@@ -56,7 +59,7 @@ from lrucheck.focused import (
     simplify_for,
     unsimplified_model,
 )
-from lrucheck.verdict import Verdict
+from lrucheck.verdict import FinalVerdict, Provenance, Verdict
 
 
 def test_alpha_examples():
@@ -99,11 +102,10 @@ def test_focus_abstraction_commutes_exhaustive():
                         assert lhs == rhs, (n, k, q, focus, b)
 
 
-def positions_without(space, focus):
-    return [i for i, b in enumerate(space.blocks) if b != focus]
-
-
 def test_initial_focused_matches_alpha_image():
+    # The all-seed reference is the alpha image of the initial states, and
+    # the two seeds are its least and greatest elements: the empty younger
+    # set and epsilon.
     for n in range(1, 4):
         for k in range(1, 3):
             space = space_for(n, k)
@@ -117,10 +119,16 @@ def test_initial_focused_matches_alpha_image():
                             else all_states(space)
                         )
                     }
-                    got = initial_focused(positions_without(space, focus), k, init)
-                    decoded = [decode_mask(m, space.blocks) for m in got]
-                    assert len(decoded) == len(image)
-                    assert frozenset(decoded) == frozenset(image), (n, k, focus, init)
+                    universe = tuple(b for b in space.blocks if b != focus)
+                    ref = reference_seeds(universe, k, init is InitMode.UNKNOWN)
+                    assert len(ref) == len(image)
+                    assert frozenset(ref) == frozenset(image), (n, k, focus, init)
+                    got = [decode_mask(m, space.blocks) for m in initial_focused(init)]
+                    if init is InitMode.EMPTY:
+                        assert got == [EPSILON]
+                    else:
+                        assert got == [frozenset(), EPSILON]
+                        assert all(s is EPSILON or s >= got[0] for s in image)
 
 
 def test_mask_transfer_matches_update_focus():
@@ -151,23 +159,34 @@ def test_mask_transfer_matches_update_focus():
 
 
 def test_seeds_match_reference_order():
+    # The two seeds are the first and the last of the reference order.
     for n in range(0, 7):
         blocks = blocks_for(n + 1)
         universe = blocks[1:]
         for k in range(1, 5):
             for init in InitMode:
-                seeds = initial_focused(range(1, n + 1), k, init)
+                seeds = initial_focused(init)
                 got = [decode_mask(m, blocks) for m in seeds]
-                assert got == reference_seeds(universe, k, init is InitMode.UNKNOWN), (n, k)
+                ref = reference_seeds(universe, k, init is InitMode.UNKNOWN)
+                assert got == ([ref[0], ref[-1]] if init is InitMode.UNKNOWN else ref), (n, k)
                 assert len(seeds) == len(got)
 
 
 def test_seeds_are_counted_without_enumeration():
+    # Two seeds whatever the universe: a 200-block unknown 8-way set, whose
+    # reference seeds number Σ_{c<8} C(199, c), is searched at once.
+    config = small_config(k=8)
+    n = 200
+    g = build_cfg(
+        "v0", [f"v{i}" for i in range(n + 1)],
+        [(f"v{i}", f"v{i + 1}", 8 * i) for i in range(n)], config,
+    )
+    pg = project(g, 0, config)
     t0 = time.perf_counter()
-    seeds = initial_focused(range(200), 8, InitMode.UNKNOWN)
-    assert len(seeds) == sum(math.comb(200, c) for c in range(8)) + 1
-    first = list(itertools.islice(seeds, 4))
-    assert first == [0, 1, 0b11, 0b111]
+    seeds = initial_focused(InitMode.UNKNOWN)
+    assert len(seeds) == 2
+    reach = focused_reach(raw_model(pg, block_universe(pg)[-1], 8), seeds)
+    assert reach.explored <= 2 * len(pg.vertices)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -199,21 +218,22 @@ def test_mask_search_matches_reference_search(init):
                     else:
                         edges = list(pg.edges)
                     assert model.edges() == edges, (name, s, focus)
-                    seeds = initial_focused(model.positions, k, init)
-                    ref_seeds = reference_seeds(model.universe, k, init is InitMode.UNKNOWN)
                     goal_sets = [None]
                     if focus in residual:
                         goal_sets.append(
                             [(c.access.src, c.exists_hit, c.exists_miss) for c in residual[focus]]
                         )
-                    for goals in goal_sets:
-                        reach = focused_reach(model, seeds, goals)
-                        states, explored, partial = reference_reach(
-                            pg.vertices, pg.entry, edges, focus, k, ref_seeds, goals
-                        )
-                        case = (name, s, focus, simplified, goals is not None)
-                        assert (reach.explored, reach.partial) == (explored, partial), case
-                        assert decoded_states(reach) == states, case
+                    # The production seeds, and every younger-set seed.
+                    for seeds in (initial_focused(init), all_seed_masks(model, init)):
+                        ref_seeds = [decode_mask(m, model.blocks) for m in seeds]
+                        for goals in goal_sets:
+                            reach = focused_reach(model, seeds, goals)
+                            states, explored, partial = reference_reach(
+                                pg.vertices, pg.entry, edges, focus, k, ref_seeds, goals
+                            )
+                            case = (name, s, focus, simplified, goals is not None, len(seeds))
+                            assert (reach.explored, reach.partial) == (explored, partial), case
+                            assert decoded_states(reach) == states, case
 
 
 def skeleton_cases():
@@ -278,7 +298,7 @@ def test_skeleton_search_matches_raw_search(init):
             for focus, goal_sets in goal_cases(analysis):
                 raw_model = unsimplified_model(pg, focus, space, full)
                 skel_model = unsimplified_model(pg, focus, space, table)
-                seeds = initial_focused(raw_model.positions, k, init)
+                seeds = initial_focused(init)
                 for goal_checks in goal_sets:
                     goals = None
                     if goal_checks is not None:
@@ -321,7 +341,7 @@ def test_pruned_search_matches_plain_search(init):
                 for table_name, table in tables.items():
                     plain = set_model(analysis, focus, False, table)
                     pruned = set_model(analysis, focus, True, table)
-                    seeds = initial_focused(plain.positions, k, init)
+                    seeds = initial_focused(init)
                     for goal_checks in goal_sets:
                         goals = None
                         if goal_checks is not None:
@@ -333,13 +353,79 @@ def test_pruned_search_matches_plain_search(init):
                         assert (got.explored, got.partial) == (want.explored, want.partial), case
 
 
+def seed_facts(reach):
+    """Per vertex: reachable, epsilon present, and a cached state present."""
+    return {
+        v: (bool(ms), EPSILON_MASK in ms, any(m != EPSILON_MASK for m in ms))
+        for v, ms in reach.states.items()
+    }
+
+
+def assert_two_seeds_match_all_seeds(pg, k, init, case):
+    """The two-seed search against the all-seed reference, on every model of a set.
+
+    Per block, on the full table and on the skeleton, plain and may-pruned:
+    complete searches agree on reachability, epsilon-presence and
+    cached-presence at every vertex, and goal-directed searches (the ai+mc
+    residual checks and the mc-only checks) give every checked access the
+    same verdict and flags.
+    """
+    analysis = analyze_set(pg, k, init, Mode.AI_MC)
+    if not analysis.accesses:
+        return
+    tables = {"full": full_table(pg, analysis.space.blocks), "skeleton": analysis.adj}
+    seeds = initial_focused(init)
+    for focus, goal_sets in goal_cases(analysis):
+        for (table_name, table), pruned in itertools.product(tables.items(), (False, True)):
+            model = set_model(analysis, focus, pruned, table)
+            every = all_seed_masks(model, init)
+            where = (*case, k, init.value, focus.index, table_name, pruned)
+            want = focused_reach(model, every)
+            assert seed_facts(focused_reach(model, seeds)) == seed_facts(want), where
+            for checks in goal_sets[1:]:
+                goals = [(a.src, eh, em) for a, eh, em in checks]
+                two = focused_reach(model, seeds, goals)
+                ref = focused_reach(model, every, goals)
+                for a, eh, em in checks:
+                    fv = FinalVerdict(a, None, Provenance.UNRESOLVED, eh, em)
+                    assert _model_check(two, fv) == _model_check(ref, fv), (*where, a.label)
+
+
+@pytest.mark.parametrize("init", list(InitMode))
+def test_two_seed_search_matches_all_seed_search(init):
+    # Each program at its own associativity and at k = 8; the last four put
+    # 10 blocks in one set, so the reference starts from up to 502 seeds.
+    cases = search_cases() + corpus_programs(8, base_seed=900, sets=4)
+    config = CacheConfig(associativity=4, num_sets=1, block_size=8)
+    for seed in range(4):
+        spec = GenSpec(vertices=60, loops=6, depth=2, blocks=10, seed=seed)
+        cases.append((f"wide{seed}", config, generate(spec, config)))
+    for name, config, g in cases:
+        for k in sorted({config.associativity, 8}):
+            geometry = CacheConfig(k, config.num_sets, config.block_size)
+            for s in range(config.num_sets):
+                assert_two_seeds_match_all_seeds(project(g, s, geometry), k, init, (name, s))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(random_programs(), st.sampled_from(list(InitMode)))
+def test_two_seed_search_matches_all_seed_search_on_random_graphs(program, init):
+    g, config = program
+    pg = project(g, 0, config)
+    assert_two_seeds_match_all_seeds(pg, config.associativity, init, ("random",))
+
+
 def test_initial_focused_unknown_count():
     blocks = blocks_for(3)
-    got = initial_focused([1, 2], 2, InitMode.UNKNOWN)
-    # epsilon, the empty set, and each single other block
-    assert len(got) == 4
-    assert list(got) == [0, 0b010, 0b100, EPSILON_MASK]
-    assert [decode_mask(m, blocks) for m in got][1] == frozenset({blocks[1]})
+    got = initial_focused(InitMode.UNKNOWN)
+    # the empty younger set, then epsilon; the reference has each single
+    # other block between them
+    assert len(got) == 2
+    assert list(got) == [0, EPSILON_MASK]
+    assert [decode_mask(m, blocks) for m in got] == [frozenset(), EPSILON]
+    assert reference_seeds(blocks[1:], 2, True) == [
+        frozenset(), frozenset({blocks[1]}), frozenset({blocks[2]}), EPSILON,
+    ]
 
 
 def straight_model(k2_config, straight2, simplified):
@@ -356,7 +442,7 @@ def straight_model(k2_config, straight2, simplified):
 def test_straightline_reach_golden(k2_config, straight2, simplified):
     pg, model = straight_model(k2_config, straight2, simplified)
     b = {blk.index: blk for blk in block_universe(pg)}
-    reach = focused_reach(model, initial_focused(model.positions, 2, InitMode.EMPTY))
+    reach = focused_reach(model, initial_focused(InitMode.EMPTY))
     assert not reach.partial
     states = decoded_states(reach)
     expected = {
@@ -422,7 +508,7 @@ def loop_model(k2_config, loop2):
 
 def test_loop_reach_mixes_hit_and_miss(k2_config, loop2):
     pg, model = loop_model(k2_config, loop2)
-    reach = focused_reach(model, initial_focused(model.positions, 2, InitMode.EMPTY))
+    reach = focused_reach(model, initial_focused(InitMode.EMPTY))
     w = model.universe[0]
     states = decoded_states(reach)
     assert states["b"] == frozenset({EPSILON, frozenset({w})})
@@ -432,14 +518,14 @@ def test_loop_reach_mixes_hit_and_miss(k2_config, loop2):
 
 def test_focused_budget_error(k2_config, loop2):
     pg, model = loop_model(k2_config, loop2)
-    init = initial_focused(model.positions, 2, InitMode.EMPTY)
+    init = initial_focused(InitMode.EMPTY)
     with pytest.raises(FocusedCapacityError, match="more than 2"):
         focused_reach(model, init, budget=2)
 
 
 def test_early_exit_stops_when_goals_refuted(k2_config, loop2):
     pg, model = loop_model(k2_config, loop2)
-    init = initial_focused(model.positions, 2, InitMode.EMPTY)
+    init = initial_focused(InitMode.EMPTY)
     full = focused_reach(model, init)
     reach = focused_reach(model, init, goals=[("b", False, False)])
     assert reach.partial
@@ -454,7 +540,7 @@ def test_early_exit_never_fires_when_goal_holds(k2_config):
     pg = project(g, 0, k2_config)
     focus = block_universe(pg)[0]
     model = raw_model(pg, focus, 2)
-    init = initial_focused(model.positions, 2, InitMode.EMPTY)
+    init = initial_focused(InitMode.EMPTY)
     # the second access always hits: no epsilon ever shows up at b
     reach = focused_reach(model, init, goals=[("b", True, False)])
     assert not reach.partial
@@ -518,7 +604,7 @@ def goal_search(k2_config, edges, goals):
     vertices = sorted({v for e in edges for v in e[:2]} | {"e"})
     pg = project(build_cfg("e", vertices, edges, k2_config), 0, k2_config)
     model = raw_model(pg, MemoryBlock(0, 0), 2)
-    return focused_reach(model, initial_focused(model.positions, 2, InitMode.EMPTY), goals)
+    return focused_reach(model, initial_focused(InitMode.EMPTY), goals)
 
 
 def test_refutation_goals_stop_the_search(k2_config):

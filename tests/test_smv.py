@@ -10,10 +10,11 @@ from helpers import (
     EPSILON,
     build_cfg,
     corpus_programs,
-    decode_mask,
     decoded_states,
     pruned_model,
     raw_model,
+    reference_reach,
+    reference_seeds,
     small_config,
     solve,
 )
@@ -45,9 +46,19 @@ def build_model(g, config, focus_index, simplified, init):
 def assert_model_matches_search(g, config, focus_index, simplified, init):
     pg, model = build_model(g, config, focus_index, simplified, init)
     k = config.associativity
-    init_states = initial_focused(model.positions, k, init)
-    reach = focused_reach(model, init_states)
-    states_at = decoded_states(reach)
+    # The SMV INIT admits every initial state, so the model is compared with
+    # the all-seed reference search, and that with the two-seed search.
+    seeds = reference_seeds(model.universe, k, init is InitMode.UNKNOWN)
+    graph = model.graph
+    states_at, _, _ = reference_reach(
+        graph.vertices, graph.entry, model.edges(), model.focus, k, seeds
+    )
+    reach = decoded_states(focused_reach(model, initial_focused(init)))
+    for v in graph.vertices:
+        assert (EPSILON in reach[v]) == (EPSILON in states_at[v]), (v, simplified, init)
+        assert any(s is not EPSILON for s in reach[v]) == any(
+            s is not EPSILON for s in states_at[v]
+        ), (v, simplified, init)
     targets = [a for a in accesses_of(pg) if a.block == model.focus]
     text = export_smv(model, init, targets)
     module, reached, truths = analyze(text)
@@ -167,8 +178,7 @@ def test_unknown_init_predicate_matches_initial_states(k2_config):
     }
     entry_sym = module.locations[0]
     expected = set()
-    for m in initial_focused(model.positions, 2, InitMode.UNKNOWN):
-        s = decode_mask(m, model.blocks)
+    for s in reference_seeds(model.universe, 2, True):
         if s is EPSILON:
             expected.add((entry_sym, False, frozenset()))
         else:

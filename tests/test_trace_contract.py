@@ -50,7 +50,7 @@ def test_focused_extractors_read_real_values(tracing, k2_config, loop2):
     pg = project(loop2, 0, k2_config)
     space = StateSpace(k=2, blocks=block_universe(pg))
     model = unsimplified_model(pg, space.blocks[0], space, full_table(pg, space.blocks))
-    seeds = initial_focused(model.positions, 2, InitMode.UNKNOWN)
+    seeds = initial_focused(InitMode.UNKNOWN)
     reach = focused_reach(model, seeds)
 
     assert tracing._EXTRACT["focused.initial_focused"](seeds) == {"states": len(list(seeds))}
