@@ -36,7 +36,8 @@ class CacheConfig(_Geometry):
     """Cache geometry: `associativity` ways, `num_sets` sets, lines of `block_size` bytes.
 
     `num_sets` and `block_size` must be powers of two; `associativity` must be
-    at least one.  Construction checks them (`_replace` does not).  Addresses
+    in 1..4096, since the abstract domains build one threshold per way.
+    Construction checks them (`_replace` does not).  Addresses
     map to memory blocks by dropping the offset bits, and blocks map to sets
     by block index modulo `num_sets`.
     """
@@ -45,8 +46,8 @@ class CacheConfig(_Geometry):
 
     def __new__(cls, *args, **kwargs) -> "CacheConfig":
         self = super().__new__(cls, *args, **kwargs)
-        if self.associativity < 1:
-            raise ValueError(f"associativity must be >= 1, got {self.associativity}")
+        if not 1 <= self.associativity <= 4096:
+            raise ValueError(f"associativity must be in 1..4096, got {self.associativity}")
         if not _is_power_of_two(self.num_sets):
             raise ValueError(f"num_sets must be a power of two, got {self.num_sets}")
         if not _is_power_of_two(self.block_size):

@@ -138,11 +138,11 @@ class SetAnalysis(NamedTuple):
 
     `verdicts` holds one `FinalVerdict` per access of `accesses`, in order:
     settled by a domain, or unresolved (verdict None) with the existential
-    halves already known, the `residual`.  `adj` is the skeleton of the
-    graph's successor table over `space.blocks`, which both phases run on,
-    None when nothing is accessed.  `may` is the may fixpoint at its
-    vertices, None in mc-only mode; only the SMV export's pruning
-    (`focused.simplify_for`) reads it.
+    halves already known, the `residual`.  `table` is the graph's successor
+    table over `space.blocks`, which the SMV export renders, and `adj` its
+    skeleton, which both phases run on; both are None when nothing is
+    accessed.  `may` is the may fixpoint at its vertices, None in mc-only
+    mode; only the SMV export's pruning (`focused.simplify_for`) reads it.
     """
 
     graph: Cfg
@@ -150,6 +150,7 @@ class SetAnalysis(NamedTuple):
     accesses: list[AccessId]
     verdicts: list[FinalVerdict]
     may: Optional[Fixpoint]
+    table: Optional[Adjacency]
     adj: Optional[Adjacency]
 
     @property
@@ -183,10 +184,11 @@ def abstract_phase(
     focused search share.
     """
     space = StateSpace(k=k, blocks=block_universe(pg))
-    adj = skeleton(adjacency(pg, space.blocks, order), pg.entry) if accesses else None
+    table = adjacency(pg, space.blocks, order) if accesses else None
+    adj = skeleton(table, pg.entry) if accesses else None
     if mode is Mode.MC_ONLY or not accesses:
         verdicts = [FinalVerdict(a, None, Provenance.UNRESOLVED, False, False) for a in accesses]
-        return SetAnalysis(pg, space, accesses, verdicts, None, adj)
+        return SetAnalysis(pg, space, accesses, verdicts, None, table, adj)
 
     if mode is Mode.AI_MC_NO_DU:
         must = fixpoint(MUST, pg, space, init, adj)
@@ -197,7 +199,7 @@ def abstract_phase(
         em = fixpoint(EXISTS_MISS, pg, space, init, adj)
         must, may = carried(eh, space), carried(em, space)
     verdicts = [ai_classify(space, a, must, may, eh, em) for a in accesses]
-    return SetAnalysis(pg, space, accesses, verdicts, may, adj)
+    return SetAnalysis(pg, space, accesses, verdicts, may, table, adj)
 
 
 def accesses_by_set(g: Cfg) -> tuple[list[AccessId], dict[int, list[AccessId]]]:

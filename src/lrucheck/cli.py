@@ -28,7 +28,7 @@ from .bench import (
     summarize,
     write_csv,
 )
-from .cfg import CacheConfig, CfgParseError, adjacency, load_cfg, project, reverse_post_order
+from .cfg import CacheConfig, CfgParseError, load_cfg, project, reverse_post_order
 from .classify import Mode, abstract_phase, accesses_by_set, classify_all, verify_against_oracle
 from .concrete import DEFAULT_ORACLE_BUDGET, InitMode
 from .focused import DEFAULT_MC_BUDGET, export_smv, simplify_for, smv_filename, unsimplified_model
@@ -87,12 +87,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("analyze", help="classify every access and emit a JSON report")
     p.add_argument("input", help="CFG JSON file")
     _add_cache_flags(p, budget_mc=True)
-    p.add_argument("--budget-oracle", type=int, default=None,
-                   help="state budget for the exact oracle (with --with-oracle only)")
     _add_mode_flag(p)
     p.add_argument("--out", default=None, help="report file (default: stdout)")
-    p.add_argument("--with-oracle", action="store_true",
-                   help="also run the exact oracle and embed the comparison")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (makes output non-reproducible)")
     commands["analyze"] = p
@@ -250,30 +246,13 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.budget_oracle is not None and not args.with_oracle:
-        raise CfgParseError("--budget-oracle is read only with --with-oracle")
     config = _cache_config(args)
     g = load_cfg(args.input, config)
     init = InitMode(args.init)
     mode = Mode(args.mode)
-    oracle = None
-    if args.with_oracle:
-        oracle = verify_against_oracle(
-            g, config, init, mode,
-            mc_budget=args.budget_mc,
-            oracle_budget=(
-                DEFAULT_ORACLE_BUDGET if args.budget_oracle is None else args.budget_oracle
-            ),
-        )
-        result = oracle.classification
-    else:
-        result = classify_all(g, config, init, mode, mc_budget=args.budget_mc)
-    doc = build_report(g, config, init, mode, result, timings=args.timings, oracle=oracle)
+    result = classify_all(g, config, init, mode, mc_budget=args.budget_mc)
+    doc = build_report(g, config, init, mode, result, timings=args.timings)
     _write_text(args.out, render_report(doc))
-    n_disagreements = 0 if oracle is None else oracle.n_disagreements
-    if n_disagreements:
-        log.error("oracle disagreements: %d", n_disagreements)
-        return EXIT_DISAGREE
     return EXIT_OK
 
 
@@ -313,9 +292,6 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
         pg = project(g, s, config)
         analysis = abstract_phase(pg, config.associativity, init, mode, accesses, order)
         known_blocks.update(b.index for b in analysis.space.blocks)
-        # The models render every edge, so they take the full table, not
-        # the skeleton the analysis ran on.
-        table = adjacency(pg, analysis.space.blocks, order)
 
         if args.block is not None:
             targets_by_block: dict = {}
@@ -330,9 +306,9 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
 
         for block, targets in targets_by_block.items():
             if args.no_simplify or analysis.may is None:
-                model = unsimplified_model(pg, block, analysis.space, table)
+                model = unsimplified_model(pg, block, analysis.space, analysis.table)
             else:
-                model = simplify_for(pg, block, analysis.may, analysis.space, table)
+                model = simplify_for(pg, block, analysis.may, analysis.space, analysis.table)
             text = export_smv(model, init, targets)
             path = os.path.join(args.outdir, smv_filename(g.name, s, block))
             with open(path, "w", encoding="utf-8") as fh:

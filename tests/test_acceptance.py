@@ -545,8 +545,7 @@ def test_check_9_determinism(tmp_path):
     for tag in ("1", "2"):
         d = tmp_path / f"run{tag}"
         d.mkdir()
-        cli(tag, "analyze", str(prog), *flags, "--with-oracle",
-            "--out", str(d / "report.json"))
+        cli(tag, "verify", str(prog), *flags, "--out", str(d / "report.json"))
         cli(tag, "export-smv", str(prog), *flags, "--outdir", str(d / "smv"))
         cli(tag, "gen", "--outdir", str(d / "gen"), "--seed", "42", "--count", "2")
 

@@ -26,12 +26,12 @@ SCHEMA = json.loads((REPO / "docs" / "report.schema.json").read_text(encoding="u
 
 LOOP_FLAGS = ["--assoc", "2", "--sets", "1", "--block-size", "8"]
 
-#: Reports of `analyze docs/examples/NAME.json` with LOOP_FLAGS and
-#: `--with-oracle`, per mode and initial cache, recorded before the abstract
-#: phase moved to two fixpoints over flat states; re-recorded when reports
-#: dropped `config.simplify` (schema version 2), with no other byte changed,
-#: and when unknown-cache searches started from two seeds, with only
-#: `states_explored` changed.
+#: `verify --out` reports of docs/examples/NAME.json with LOOP_FLAGS, per
+#: mode and initial cache, recorded (as `analyze --with-oracle` reports, which
+#: had the same bytes) before the abstract phase moved to two fixpoints over
+#: flat states; re-recorded when reports dropped `config.simplify` (schema
+#: version 2), with no other byte changed, and when unknown-cache searches
+#: started from two seeds, with only `states_explored` changed.
 GOLDEN = REPO / "tests" / "golden"
 
 
@@ -82,15 +82,6 @@ def test_analyze_report_shape_and_schema(capsys):
     assert doc["oracle"] is None
 
 
-def test_analyze_with_oracle(capsys):
-    doc = analyze_loop(capsys, "--with-oracle")
-    jsonschema.validate(doc, SCHEMA)
-    assert doc["oracle"]["checked"] == 2
-    assert doc["oracle"]["n_disagreements"] == 0
-    assert doc["oracle"]["disagreements"] == []
-    assert doc["oracle"]["mc_resolved"] == []
-
-
 def test_analyze_output_deterministic(capsys, tmp_path):
     f1, f2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for f in (f1, f2):
@@ -133,6 +124,9 @@ def test_verify_ok(capsys, tmp_path):
     doc = json.loads(out_file.read_text(encoding="utf-8"))
     jsonschema.validate(doc, SCHEMA)
     assert doc["oracle"]["checked"] == 2
+    assert doc["oracle"]["n_disagreements"] == 0
+    assert doc["oracle"]["disagreements"] == []
+    assert doc["oracle"]["mc_resolved"] == []
 
 
 def test_verify_counts_mc_resolutions(capsys, tmp_path):
@@ -156,15 +150,16 @@ def test_verify_disagreement_exit_code(capsys, monkeypatch):
 @pytest.mark.parametrize("init", ["empty", "unknown"])
 @pytest.mark.parametrize("mode", ["ai-only", "ai+mc", "mc-only", "ai+mc-no-du"])
 @pytest.mark.parametrize("example", ["loop", "straightline"])
-def test_golden_reports(capsys, example, mode, init):
+def test_golden_reports(capsys, tmp_path, example, mode, init):
+    report = tmp_path / "report.json"
     code, out, err = run_cli(
-        capsys, "analyze", str(REPO / "docs" / "examples" / f"{example}.json"),
-        *LOOP_FLAGS, "--mode", mode, "--init", init, "--with-oracle",
+        capsys, "verify", str(REPO / "docs" / "examples" / f"{example}.json"),
+        *LOOP_FLAGS, "--mode", mode, "--init", init, "--out", str(report),
     )
-    assert code == 0
-    golden = (GOLDEN / f"{example}.{mode}.{init}.json").read_text(encoding="utf-8")
+    assert (code, err) == (0, "")
+    golden = (GOLDEN / f"{example}.{mode}.{init}.json").read_bytes()
     jsonschema.validate(json.loads(golden), SCHEMA)
-    assert out == golden
+    assert report.read_bytes() == golden
 
 
 def test_oracle_runs_classify_once(capsys, monkeypatch, tmp_path):
@@ -184,8 +179,6 @@ def test_oracle_runs_classify_once(capsys, monkeypatch, tmp_path):
         capsys, "verify", str(path), *LOOP_FLAGS, "--out", str(tmp_path / "v.json")
     )
     assert (code, len(calls)) == (0, 1)
-    code, _, _ = run_cli(capsys, "analyze", str(path), *LOOP_FLAGS, "--with-oracle")
-    assert (code, len(calls)) == (0, 2)
 
 
 def test_export_smv_residual_blocks(capsys, tmp_path):
@@ -212,6 +205,29 @@ def test_export_smv_block_override(capsys, tmp_path):
     assert code == 0
     module = parse_module((outdir / "miss.set0.block1.smv").read_text(encoding="utf-8"))
     assert len(module.specs) == 4  # block 1 is accessed twice
+
+
+def test_export_smv_builds_each_set_table_once(capsys, monkeypatch, tmp_path):
+    import lrucheck.cfg
+
+    calls = []
+    real_out_edges = lrucheck.cfg.out_edges
+
+    def counting_out_edges(g):
+        calls.append(g)
+        return real_out_edges(g)
+
+    monkeypatch.setattr(lrucheck.cfg, "out_edges", counting_out_edges)
+    path = miss_graph_file(tmp_path)
+    code, out, err = run_cli(
+        capsys, "export-smv", str(path), "--assoc", "2", "--sets", "2", "--block-size", "8",
+        "--mode", "mc-only", "--outdir", str(tmp_path / "smv"),
+    )
+    assert (code, err) == (0, "")
+    assert len(out.split()) == 4  # blocks 0 and 2 in set 0, 1 and 3 in set 1
+    # One walk for the program order, then one successor table per accessed
+    # set, which the analysis and every model of the set share.
+    assert len(calls) == 1 + 2
 
 
 def test_export_smv_unknown_block(capsys, tmp_path):
@@ -344,7 +360,7 @@ def _smv_files(outdir):
     return {p.name: p.read_text(encoding="utf-8") for p in sorted(outdir.iterdir())}
 
 
-@pytest.mark.parametrize("key", ["no-simplify", "with-oracle", "timings"])
+@pytest.mark.parametrize("key", ["no-simplify", "timings"])
 def test_boolean_config_values(capsys, tmp_path, key):
     """Boolean keys take 1/true/yes/on and 0/false/no/off in any case; a typo is exit 2."""
     straight = REPO / "docs" / "examples" / "straightline.json"
@@ -362,8 +378,7 @@ def test_boolean_config_values(capsys, tmp_path, key):
                                  "--config", str(conf))
         if code != 0:
             return code, err, None
-        doc = json.loads(out)
-        return code, err, (doc["oracle"] is not None, doc["stats"]["timings_ms"]["ai"] > 0)
+        return code, err, json.loads(out)["stats"]["timings_ms"]["ai"] > 0
 
     results = {}
     for i, value in enumerate(["1", "TRUE", "Yes", "on", "0", "False", "NO", "Off"]):
@@ -455,11 +470,8 @@ def test_budget_exit_codes(capsys, tmp_path):
     assert code == 3
     assert "raise --budget-mc" in err
 
-    code, out, err = run_cli(
-        capsys, "analyze", str(path), *LOOP_FLAGS, "--with-oracle",
-        "--budget-oracle", "2",
-    )
-    assert code == 3
+    code, out, err = run_cli(capsys, "verify", str(path), *LOOP_FLAGS, "--budget-oracle", "2")
+    assert (code, out) == (3, "")
     assert "raise --budget-oracle" in err
 
 
@@ -468,7 +480,6 @@ def test_budget_exit_codes(capsys, tmp_path):
     [
         ("analyze", "--budget-mc", "0"),
         ("verify", "--budget-mc", "-5"),
-        ("analyze", "--budget-oracle", "-1"),
         ("verify", "--budget-oracle", "0"),
         ("gen", "--count", "-3"),
         ("gen", "--count", "0"),
@@ -480,8 +491,6 @@ def test_budgets_and_counts_below_one_are_usage_errors(capsys, tmp_path, command
         argv = ["gen", "--outdir", out_path]
     else:
         argv = [command, str(LOOP_JSON), "--out", out_path]
-        if command == "analyze":
-            argv.append("--with-oracle")
     code, out, err = run_cli(capsys, *argv, flag, value)
     assert code == 2
     assert out == ""
@@ -653,8 +662,8 @@ def test_gen_range_errors_are_usage_errors(capsys, tmp_path, flag, value):
 #: The long options of each subcommand: exactly the flags it reads.
 FLAG_SETS = {
     "analyze": {
-        "--assoc", "--sets", "--block-size", "--init", "--budget-mc", "--budget-oracle",
-        "--config", "--mode", "--out", "--with-oracle", "--timings",
+        "--assoc", "--sets", "--block-size", "--init", "--budget-mc", "--config", "--mode",
+        "--out", "--timings",
     },
     "verify": {
         "--assoc", "--sets", "--block-size", "--init", "--budget-mc", "--budget-oracle",
@@ -692,14 +701,17 @@ def test_subcommand_flag_sets():
     [
         (["export-smv", str(LOOP_JSON)], ["--budget-mc", "5"]),
         (["export-smv", str(LOOP_JSON)], ["--budget-oracle", "5"]),
+        (["analyze", str(LOOP_JSON)], ["--with-oracle"]),
+        (["analyze", str(LOOP_JSON)], ["--budget-oracle", "5"]),
         (["bench", "--corpus", str(LOOP_JSON.parent)], ["--budget-oracle", "5"]),
         (["gen"], ["--sets", "8"]),
         (["analyze", str(LOOP_JSON)], ["--no-simplify"]),
         (["verify", str(LOOP_JSON)], ["--no-simplify"]),
         (["bench", "--corpus", str(LOOP_JSON.parent)], ["--no-simplify"]),
     ],
-    ids=["export-smv-budget-mc", "export-smv-budget-oracle", "bench-budget-oracle", "gen-sets",
-         "analyze-no-simplify", "verify-no-simplify", "bench-no-simplify"],
+    ids=["export-smv-budget-mc", "export-smv-budget-oracle", "analyze-with-oracle",
+         "analyze-budget-oracle", "bench-budget-oracle", "gen-sets", "analyze-no-simplify",
+         "verify-no-simplify", "bench-no-simplify"],
 )
 def test_flags_a_subcommand_does_not_read_are_rejected(
     capsys, tmp_path, monkeypatch, argv, unread
@@ -731,22 +743,17 @@ def test_argparse_usage_errors_are_one_line(capsys, tmp_path, monkeypatch, argv,
     assert os.listdir(tmp_path) == []
 
 
-def test_oracle_budget_without_oracle_is_usage_error(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "analyze", str(LOOP_JSON), *LOOP_FLAGS,
-                             "--budget-oracle", "5")
-    assert code == 2
-    assert out == ""
-    assert err == "error: --budget-oracle is read only with --with-oracle\n"
+def test_only_verify_reads_oracle_config_keys(capsys, tmp_path):
+    for line in ("with-oracle = true", "budget-oracle = 5"):
+        conf = tmp_path / "analyze.conf"
+        conf.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(LOOP_JSON), "--config", str(conf))
+        assert (code, out) == (2, "")
+        assert err == f"error: {conf}:1: unknown option {line.split(' = ')[0]!r}\n"
 
-    conf = tmp_path / "analyze.conf"
     conf.write_text("budget-oracle = 5\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "analyze", str(LOOP_JSON), *LOOP_FLAGS,
+    code, out, err = run_cli(capsys, "verify", str(LOOP_JSON), *LOOP_FLAGS,
                              "--config", str(conf))
-    assert code == 2
-    assert err == "error: --budget-oracle is read only with --with-oracle\n"
-
-    code, out, err = run_cli(capsys, "analyze", str(LOOP_JSON), *LOOP_FLAGS,
-                             "--config", str(conf), "--with-oracle")
     assert code == 3  # read, and too small for loop.json
     assert "raise --budget-oracle" in err
 

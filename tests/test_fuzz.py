@@ -5,7 +5,8 @@ no mutation of a program can cause), write exactly one `error:` line to
 stderr when it fails, and never raise.  The mutations start from the
 programs in docs/examples: truncation, byte flips, deep nesting, huge
 integers, values of the wrong type and duplicate keys.  Flags take cheap
-extreme values: a huge set count, a 2048-way unknown cache, a budget of 1.
+extreme values: a huge set count, a 2048-way unknown cache, a budget of 1,
+and associativities past the 4096 limit.
 Every program keeps a handful of blocks, so no call can allocate much.
 """
 
@@ -160,8 +161,11 @@ def test_mutated_programs_keep_the_exit_code_contract(capsys, tmp_path, seed):
         (["--sets", "3"], 2),
         (["--assoc", "0"], 2),
         (["--block-size", str(2**64)], 0),
+        (["--assoc", "4097"], 2),
+        (["--assoc", str(2**64)], 2),
     ],
-    ids=["sets-2^30", "assoc-2048-unknown", "budget-mc-1", "sets-3", "assoc-0", "block-2^64"],
+    ids=["sets-2^30", "assoc-2048-unknown", "budget-mc-1", "sets-3", "assoc-0", "block-2^64",
+         "assoc-4097", "assoc-2^64"],
 )
 def test_extreme_flags_keep_the_exit_code_contract(capsys, tmp_path, example, flags, want):
     for command in ("analyze", "verify"):
