@@ -112,8 +112,9 @@ def fixpoint(
     """Least fixpoint of a domain over a successor table of a graph.
 
     The vertices are those of the table, `adj.succ`: every vertex of `g` for
-    its `adjacency`, the entry and the access sources for its `skeleton`,
-    which the classification runs on.  Entry starts at the domain's seed,
+    its `adjacency`, the entry and the access sources of one cache set for
+    the set's `skeleton`, which the classification runs on; only `g.entry`
+    is read from `g`.  Entry starts at the domain's seed,
     every other vertex at BOTTOM.  Access edges apply the domain transfer,
     no-access edges propagate unchanged, and joins accumulate at edge
     targets.  Vertices are visited in the table's reverse post-order,

@@ -49,12 +49,21 @@ class _GenKnobs(NamedTuple):
     seed: int = 0
 
 
+#: The builder nests one call per loop level, so deeper loops would hit
+#: Python's recursion limit (depth 990 did, from the command line).
+MAX_GEN_DEPTH = 256
+#: The builder holds the whole program in memory: 10**6 vertices took about
+#: 2 s and 430 MB of peak memory on a 2-CPU Xeon host.
+MAX_GEN_VERTICES = 10**6
+
+
 class GenSpec(_GenKnobs):
     """Knobs for one synthetic program.
 
-    vertices: total vertex budget (the generator never exceeds it).
+    vertices: total vertex budget (the generator never exceeds it), at most
+      MAX_GEN_VERTICES.
     loops: how many natural loops to build (nested up to `depth`).
-    depth: maximum loop nesting depth.
+    depth: maximum loop nesting depth, at most MAX_GEN_DEPTH.
     branch_p: probability of a branch diamond at each step.
     blocks: size of the block universe accesses are drawn from.
     access_p: probability that a generated edge carries an access.
@@ -67,10 +76,14 @@ class GenSpec(_GenKnobs):
 
     def __new__(cls, *args, **kwargs) -> "GenSpec":
         self = super().__new__(cls, *args, **kwargs)
-        if self.vertices < 2:
-            raise ValueError(f"vertex budget must be >= 2, got {self.vertices}")
+        if not 2 <= self.vertices <= MAX_GEN_VERTICES:
+            raise ValueError(
+                f"vertex budget must be in 2..{MAX_GEN_VERTICES}, got {self.vertices}"
+            )
         if self.loops < 0 or self.depth < 0:
             raise ValueError("loops and depth must be non-negative")
+        if self.depth > MAX_GEN_DEPTH:
+            raise ValueError(f"depth must be at most {MAX_GEN_DEPTH}, got {self.depth}")
         if self.blocks < 1:
             raise ValueError(f"block universe must be >= 1, got {self.blocks}")
         for name, p in (("branch_p", self.branch_p), ("access_p", self.access_p)):

@@ -2,15 +2,16 @@
 
 A program is a directed multigraph: vertices are program points, edges carry
 either one memory access (a block) or no access at all.  A set-associative
-cache splits into independent cache sets, so the analyses never look at the
-whole graph: they look at one projection per set, where every access to a
-block of a different set is blanked out.
+cache splits into independent cache sets, so the analyses look at one set at
+a time, where every access to a block of a different set counts as no
+access.  The classification reads that view straight from the program's
+edges (`skeleton`); the oracle and the SMV export copy it out as a
+projection (`project`), with the full successor table (`adjacency`).
 """
 
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -111,14 +112,6 @@ class Cfg:
 
     def __repr__(self) -> str:
         return "Cfg(entry=%r, vertices=%r, edges=%r, name=%r)" % self._key()
-
-    @cached_property
-    def blanked(self) -> tuple[Edge, ...]:
-        """Every edge as a no-access edge, in edge order.
-
-        Built once, so the projections of every cache set share these objects.
-        """
-        return tuple(e if e.block is None else Edge(e.src, None, e.dst) for e in self.edges)
 
 
 class AccessId(NamedTuple):
@@ -258,12 +251,11 @@ def project(g: Cfg, set_index: int, config: CacheConfig) -> Cfg:
     if not 0 <= set_index < config.num_sets:
         raise ValueError(f"set_index {set_index} out of range for {config.num_sets} sets")
     kept: list[Edge] = []
-    for e, blank in zip(g.edges, g.blanked):
-        if e.block is None or e.block.set_index != set_index:
-            if e.src == e.dst:
-                continue
-            e = blank
-        kept.append(e)
+    for e in g.edges:
+        if e.block is not None and e.block.set_index == set_index:
+            kept.append(e)
+        elif e.src != e.dst:
+            kept.append(e if e.block is None else Edge(e.src, None, e.dst))
     return Cfg(entry=g.entry, vertices=g.vertices, edges=tuple(kept), name=g.name)
 
 
@@ -331,13 +323,11 @@ class Adjacency(NamedTuple):
     `succ[v]` lists `(dst, i)` per outgoing edge of v in edge order, where i is
     the accessed block's position in the universe the map was built for, or -1
     for a no-access edge.  `order` is the reverse post-order of the vertices
-    of `succ`.  `accessing` holds the vertices with at least one outgoing
-    access edge.
+    of `succ`.
     """
 
     succ: dict[str, tuple[tuple[str, int], ...]]
     order: tuple[str, ...]
-    accessing: frozenset[str]
 
 
 def adjacency(g: Cfg, blocks: Sequence[MemoryBlock], order: Sequence[str]) -> Adjacency:
@@ -347,64 +337,74 @@ def adjacency(g: Cfg, blocks: Sequence[MemoryBlock], order: Sequence[str]) -> Ad
     drops no-access self-loops, which a depth-first search never follows, so
     the program's order serves every one of its projections.
     """
-    adj = out_edges(g)
     position = {b: i for i, b in enumerate(blocks)}
-    succ = {}
-    accessing = []
-    for v, edges in adj.items():
-        succ[v] = tuple([(e.dst, -1 if e.block is None else position[e.block]) for e in edges])
-        for e in edges:
-            if e.block is not None:
-                accessing.append(v)
-                break
-    return Adjacency(succ=succ, order=tuple(order), accessing=frozenset(accessing))
+    succ = {
+        v: tuple([(e.dst, -1 if e.block is None else position[e.block]) for e in edges])
+        for v, edges in out_edges(g).items()
+    }
+    return Adjacency(succ=succ, order=tuple(order))
 
 
-def skeleton(adj: Adjacency, entry: str) -> Adjacency:
-    """Contract a successor table to its access skeleton.
+def skeleton(
+    out: dict[str, list[Edge]], entry: str, order: Sequence[str], blocks: Sequence[MemoryBlock]
+) -> Adjacency:
+    """The access skeleton of one cache set, built from the program's edges.
 
-    The kept vertices are `entry` and `adj.accessing`, in `adj.order`.  Every
-    edge of an unkept vertex is a no-access edge, so a chain of them passes
-    any state on unchanged.  A kept vertex's row therefore lists, for each of
-    its edges `(dst, i)` in edge order, `(w, i)` for every kept vertex w
-    reachable from dst through unkept vertices only (dst itself when it is
-    kept), the w in `order`; a pair already in the row is not repeated.
+    `out` is the program's `out_edges`, `order` its `reverse_post_order` and
+    `blocks` the set's sorted block universe.  An edge accesses position i
+    when its block is `blocks[i]`; any other edge is a no-access edge (-1),
+    as in the set's projection, which also drops no-access self-loops.
+
+    The kept vertices are `entry` and the set's access sources, in `order`.
+    Every edge of an unkept vertex is a no-access edge, so a chain of them
+    passes any state on unchanged.  A kept vertex's row therefore lists, for
+    each of its edges `(dst, i)` in edge order, `(w, i)` for every kept
+    vertex w reachable from dst through unkept vertices only (dst itself when
+    it is kept), the w in `order`; a pair already in the row is not repeated.
 
     A search whose states change only on access edges, and which reads its
     states only at access sources and the entry, finds the same states at
-    every kept vertex in the skeleton as in `adj`.
+    every kept vertex in the skeleton as in the projection's `adjacency`.
     """
-    kept = adj.accessing | {entry}
-    order = tuple(v for v in adj.order if v in kept)
-    rank = {v: r for r, v in enumerate(order)}
+    position = {b: i for i, b in enumerate(blocks)}
+    kept = {entry}
+    for v, edges in out.items():
+        for e in edges:
+            if e.block in position:
+                kept.add(v)
+                break
+    ranked = tuple(v for v in order if v in kept)
+    rank = {v: r for r, v in enumerate(ranked)}
     # closure[u]: the kept vertices reachable from unkept u through unkept
     # vertices, as a mask over ranks.  A least fixpoint; sweeping in post-order
     # reads most successors' final closures, so only cycles need more sweeps.
-    unkept = [v for v in reversed(adj.order) if v not in kept]
+    unkept = [v for v in reversed(order) if v not in kept]
     closure = dict.fromkeys(unkept, 0)
     changed = True
     while changed:
         changed = False
         for u in unkept:
             old = new = closure[u]
-            for w, _ in adj.succ[u]:
-                r = rank.get(w)
-                new |= closure[w] if r is None else 1 << r
+            for e in out[u]:
+                r = rank.get(e.dst)
+                new |= closure[e.dst] if r is None else 1 << r
             if new != old:
                 closure[u] = new
                 changed = True
 
     succ = {}
-    for v in order:
+    for v in ranked:
         row: dict[tuple[str, int], None] = {}
-        for w, i in adj.succ[v]:
+        for e in out[v]:
+            w, i = e.dst, position.get(e.block, -1)
             if w in rank:
-                row[w, i] = None
+                if i >= 0 or w != v:
+                    row[w, i] = None
                 continue
             m = closure[w]
             while m:
                 low = m & -m
-                row[order[low.bit_length() - 1], i] = None
+                row[ranked[low.bit_length() - 1], i] = None
                 m ^= low
         succ[v] = tuple(row)
-    return Adjacency(succ=succ, order=order, accessing=adj.accessing)
+    return Adjacency(succ=succ, order=ranked)

@@ -8,16 +8,16 @@ checking them) and halves the work for the rest.
 
 Each access has one record throughout, a `verdict.FinalVerdict`: the
 abstract phase gives every access one, and the model-checking step replaces
-only the unresolved ones.  A set's graph is a `Cfg`, the projection, keyed
-by its set in `ClassifyResult.sets`; sets no access maps to are skipped.
-The outcome counters of `PhaseStats` are counted once from the final
-verdicts, and `OracleReport` keeps the oracle's verdict next to each of
-them; its totals are derived.
+only the unresolved ones.  Sets no access maps to are skipped.  The outcome
+counters of `PhaseStats` are counted once from the final verdicts, and
+`OracleReport` keeps the oracle's verdict next to each of them; its totals
+are derived.
 
 Both phases run on the set's access skeleton (`cfg.skeleton`): the entry
 and the access sources, the only vertices either phase reads, with each
-chain of no-access edges contracted.  It is built once per set from the
-program's reverse post-order, computed once per program.  Must and may reach
+chain of no-access edges contracted.  It is built once per set straight from
+the program's edges and reverse post-order, both computed once per program;
+the classification never projects the program.  Must and may reach
 the same bounds there as on the full successor table; the exists domains,
 whose transfer is not monotone, reach sound bounds that may differ (see
 `ai.fixpoint`).  The focused searches use the skeleton as it is: the
@@ -40,10 +40,11 @@ from .cfg import (
     Adjacency,
     CacheConfig,
     Cfg,
+    Edge,
     MemoryBlock,
     accesses_of,
-    adjacency,
     block_universe,
+    out_edges,
     project,
     reverse_post_order,
     skeleton,
@@ -109,15 +110,12 @@ class PhaseStats:
 class ClassifyResult(NamedTuple):
     """Verdicts in the program's access order, with the run's counters.
 
-    `sets` maps each cache set that some access maps to, in ascending order,
-    to its projected graph and state space, and `order` is the program's
-    `reverse_post_order`, which serves every projection, so the oracle can
-    reuse them.
+    `order` is the program's `reverse_post_order`, which serves every
+    projection, so the oracle can reuse it.
     """
 
     verdicts: list[FinalVerdict]
     stats: PhaseStats
-    sets: list[tuple[Cfg, StateSpace]]
     order: tuple[str, ...]
 
 
@@ -138,19 +136,17 @@ class SetAnalysis(NamedTuple):
 
     `verdicts` holds one `FinalVerdict` per access of `accesses`, in order:
     settled by a domain, or unresolved (verdict None) with the existential
-    halves already known, the `residual`.  `table` is the graph's successor
-    table over `space.blocks`, which the SMV export renders, and `adj` its
-    skeleton, which both phases run on; both are None when nothing is
-    accessed.  `may` is the may fixpoint at its vertices, None in mc-only
-    mode; only the SMV export's pruning (`focused.simplify_for`) reads it.
+    halves already known, the `residual`.  `space` holds the sorted blocks of
+    the accesses, and `adj` is the set's skeleton over them, which both
+    phases run on; None when nothing is accessed.  `may` is the may fixpoint
+    at its vertices, None in mc-only mode; only the SMV export's pruning
+    (`focused.simplify_for`) reads it.
     """
 
-    graph: Cfg
     space: StateSpace
     accesses: list[AccessId]
     verdicts: list[FinalVerdict]
     may: Optional[Fixpoint]
-    table: Optional[Adjacency]
     adj: Optional[Adjacency]
 
     @property
@@ -167,39 +163,40 @@ class SetAnalysis(NamedTuple):
 
 
 def abstract_phase(
-    pg: Cfg,
+    g: Cfg,
+    out: dict[str, list[Edge]],
     k: int,
     init: InitMode,
     mode: Mode,
     accesses: list[AccessId],
     order: tuple[str, ...],
 ) -> SetAnalysis:
-    """Run the abstract domains of `mode` over one projected graph's skeleton.
+    """Run the abstract domains of `mode` over one cache set's skeleton.
 
-    `accesses` must be `accesses_of(pg)` (see `accesses_by_set`), and `order`
-    the program's `reverse_post_order`.  ai+mc and ai-only run exists-hit and
-    exists-miss only: their carried halves are the must and may fixpoints.
-    ai+mc-no-du runs must and may.  mc-only runs nothing and leaves every
-    access residual.  Every mode builds the skeleton the fixpoints and the
-    focused search share.
+    `out` and `order` must be the program's `out_edges` and
+    `reverse_post_order`, and `accesses` the set's accesses (see
+    `accesses_by_set`).  ai+mc and ai-only run exists-hit and exists-miss
+    only: their carried halves are the must and may fixpoints.  ai+mc-no-du
+    runs must and may.  mc-only runs nothing and leaves every access
+    residual.  Every mode builds the skeleton the fixpoints and the focused
+    search share.
     """
-    space = StateSpace(k=k, blocks=block_universe(pg))
-    table = adjacency(pg, space.blocks, order) if accesses else None
-    adj = skeleton(table, pg.entry) if accesses else None
+    space = StateSpace(k=k, blocks=tuple(sorted({a.block for a in accesses})))
+    adj = skeleton(out, g.entry, order, space.blocks) if accesses else None
     if mode is Mode.MC_ONLY or not accesses:
         verdicts = [FinalVerdict(a, None, Provenance.UNRESOLVED, False, False) for a in accesses]
-        return SetAnalysis(pg, space, accesses, verdicts, None, table, adj)
+        return SetAnalysis(space, accesses, verdicts, None, adj)
 
     if mode is Mode.AI_MC_NO_DU:
-        must = fixpoint(MUST, pg, space, init, adj)
-        may = fixpoint(MAY, pg, space, init, adj)
+        must = fixpoint(MUST, g, space, init, adj)
+        may = fixpoint(MAY, g, space, init, adj)
         eh = em = None
     else:
-        eh = fixpoint(EXISTS_HIT, pg, space, init, adj)
-        em = fixpoint(EXISTS_MISS, pg, space, init, adj)
+        eh = fixpoint(EXISTS_HIT, g, space, init, adj)
+        em = fixpoint(EXISTS_MISS, g, space, init, adj)
         must, may = carried(eh, space), carried(em, space)
     verdicts = [ai_classify(space, a, must, may, eh, em) for a in accesses]
-    return SetAnalysis(pg, space, accesses, verdicts, may, table, adj)
+    return SetAnalysis(space, accesses, verdicts, may, adj)
 
 
 def accesses_by_set(g: Cfg) -> tuple[list[AccessId], dict[int, list[AccessId]]]:
@@ -235,47 +232,6 @@ def _model_check(reach: FocusedReach, fv: FinalVerdict) -> FinalVerdict:
     return FinalVerdict(access, verdict, prov, eh_flag, em_flag)
 
 
-def _classify_set(
-    pg: Cfg,
-    k: int,
-    init: InitMode,
-    mode: Mode,
-    mc_budget: int,
-    accesses: list[AccessId],
-    order: tuple[str, ...],
-    stats: PhaseStats,
-) -> tuple[list[FinalVerdict], StateSpace]:
-    """One set's verdicts, in its access order; adds its work to `stats`."""
-    t0 = time.perf_counter()
-    analysis = abstract_phase(pg, k, init, mode, accesses, order)
-    verdicts = analysis.verdicts
-    if not verdicts:
-        return verdicts, analysis.space
-    t1 = time.perf_counter()
-    stats.t_ai_ms += (t1 - t0) * 1000.0
-
-    if mode is not Mode.AI_ONLY:
-        checked: dict[AccessId, FinalVerdict] = {}
-        for block, group in analysis.residual_by_block().items():
-            model = unsimplified_model(pg, block, analysis.space, analysis.adj)
-            seeds = initial_focused(init)
-            goals = [(fv.access.src, fv.exists_hit, fv.exists_miss) for fv in group]
-            reach = focused_reach(model, seeds, goals, budget=mc_budget)
-            stats.focused_runs += 1
-            stats.states_explored += reach.explored
-            log.debug(
-                "focused run: %s set %d block b%d: %d states%s",
-                pg.name, block.set_index, block.index, reach.explored,
-                " (early exit)" if reach.partial else "",
-            )
-            for fv in group:
-                checked[fv.access] = _model_check(reach, fv)
-        if checked:
-            verdicts = [checked.get(fv.access, fv) for fv in verdicts]
-    stats.t_mc_ms += (time.perf_counter() - t1) * 1000.0
-    return verdicts, analysis.space
-
-
 def classify_all(
     g: Cfg,
     config: CacheConfig,
@@ -286,27 +242,43 @@ def classify_all(
 ) -> ClassifyResult:
     """Classify every access of a program, one cache set at a time.
 
-    Results are merged in set order and reported in the program's access
-    order; the outcome counters of `stats` are counted from them.
+    Per set, the abstract phase gives every access a verdict, and one
+    focused search per residual block replaces the unresolved ones (none in
+    ai-only mode).  Results are merged in set order and reported in the
+    program's access order; the outcome counters of `stats` are counted from
+    them.
     """
     accesses, by_set = accesses_by_set(g)
-    order = tuple(reverse_post_order(g))
+    out = out_edges(g)
+    order = tuple(reverse_post_order(g, out))
     merged: dict[AccessId, FinalVerdict] = {}
     stats = PhaseStats()
-    sets: dict[int, tuple[Cfg, StateSpace]] = {}
-    for s, set_accesses in by_set.items():
-        pg = project(g, s, config)
-        verdicts, space = _classify_set(
-            pg, config.associativity, init, mode, mc_budget, set_accesses, order, stats
-        )
-        merged.update((fv.access, fv) for fv in verdicts)
-        sets[s] = (pg, space)
+    for set_accesses in by_set.values():
+        t0 = time.perf_counter()
+        analysis = abstract_phase(g, out, config.associativity, init, mode, set_accesses, order)
+        t1 = time.perf_counter()
+        stats.t_ai_ms += (t1 - t0) * 1000.0
+        merged.update((fv.access, fv) for fv in analysis.verdicts)
+        if mode is not Mode.AI_ONLY:
+            for block, group in analysis.residual_by_block().items():
+                model = unsimplified_model(g, block, analysis.space, analysis.adj)
+                goals = [(fv.access.src, fv.exists_hit, fv.exists_miss) for fv in group]
+                reach = focused_reach(model, initial_focused(init), goals, budget=mc_budget)
+                stats.focused_runs += 1
+                stats.states_explored += reach.explored
+                log.debug(
+                    "focused run: %s set %d block b%d: %d states%s",
+                    g.name, block.set_index, block.index, reach.explored,
+                    " (early exit)" if reach.partial else "",
+                )
+                merged.update((fv.access, _model_check(reach, fv)) for fv in group)
+        stats.t_mc_ms += (time.perf_counter() - t1) * 1000.0
     ordered = [merged[a] for a in accesses]
     stats.n_accesses = len(ordered)
     stats.verdict_counts.update(fv.verdict.value if fv.verdict else "unknown" for fv in ordered)
     stats.provenance_counts.update(fv.provenance.value for fv in ordered)
     stats.mc_access_checks = sum(stats.provenance_counts[p.value] for p in MC_PROVENANCES)
-    return ClassifyResult(ordered, stats, sets, order)
+    return ClassifyResult(ordered, stats, order)
 
 
 def agrees(fv: FinalVerdict, truth: Verdict) -> bool:
@@ -365,16 +337,19 @@ def verify_against_oracle(
 ) -> OracleReport:
     """Compare pipeline verdicts against exhaustive concrete enumeration.
 
-    The oracle reuses the projections, state spaces and program order of the
-    classification, one set at a time.  Whether a verdict is a disagreement
-    is `agrees`'s answer.
+    The oracle walks its own projection and state space of each set some
+    access maps to, in ascending set order, sharing only the program order
+    with the classification.  Whether a verdict is a disagreement is
+    `agrees`'s answer.
     """
     result = classify_all(g, config, init, mode, mc_budget=mc_budget)
     by_set: dict[int, list[AccessId]] = {}
     for fv in result.verdicts:
         by_set.setdefault(fv.access.block.set_index, []).append(fv.access)
     truths: dict[AccessId, Verdict] = {}
-    for s, (pg, space) in result.sets.items():
+    for s in sorted(by_set):
+        pg = project(g, s, config)
+        space = StateSpace(k=config.associativity, blocks=block_universe(pg))
         reach = collecting_semantics(pg, space, init, budget=oracle_budget, order=result.order)
         truths.update((a, exact_classify(space, reach, a)) for a in by_set[s])
     return OracleReport(result, [truths[fv.access] for fv in result.verdicts])

@@ -28,7 +28,15 @@ from .bench import (
     summarize,
     write_csv,
 )
-from .cfg import CacheConfig, CfgParseError, load_cfg, project, reverse_post_order
+from .cfg import (
+    CacheConfig,
+    CfgParseError,
+    adjacency,
+    load_cfg,
+    out_edges,
+    project,
+    reverse_post_order,
+)
 from .classify import Mode, abstract_phase, accesses_by_set, classify_all, verify_against_oracle
 from .concrete import DEFAULT_ORACLE_BUDGET, InitMode
 from .focused import DEFAULT_MC_BUDGET, export_smv, simplify_for, smv_filename, unsimplified_model
@@ -287,10 +295,10 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
     written: list[str] = []
     known_blocks: set[int] = set()
     _, by_set = accesses_by_set(g)
-    order = tuple(reverse_post_order(g))
+    out = out_edges(g)
+    order = tuple(reverse_post_order(g, out))
     for s, accesses in by_set.items():
-        pg = project(g, s, config)
-        analysis = abstract_phase(pg, config.associativity, init, mode, accesses, order)
+        analysis = abstract_phase(g, out, config.associativity, init, mode, accesses, order)
         known_blocks.update(b.index for b in analysis.space.blocks)
 
         if args.block is not None:
@@ -304,11 +312,13 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
                 for block, group in analysis.residual_by_block().items()
             }
 
+        pg = project(g, s, config)
+        table = adjacency(pg, analysis.space.blocks, order)
         for block, targets in targets_by_block.items():
             if args.no_simplify or analysis.may is None:
-                model = unsimplified_model(pg, block, analysis.space, analysis.table)
+                model = unsimplified_model(pg, block, analysis.space, table)
             else:
-                model = simplify_for(pg, block, analysis.may, analysis.space, analysis.table)
+                model = simplify_for(pg, block, analysis.may, analysis.space, table)
             text = export_smv(model, init, targets)
             path = os.path.join(args.outdir, smv_filename(g.name, s, block))
             with open(path, "w", encoding="utf-8") as fh:
@@ -369,8 +379,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not names:
         raise CfgParseError(f"no .json programs found in {args.corpus!r}")
     programs = []
+    # The summary keys rows by program name, so a repeated name would drop a program.
+    files_by_name: dict[str, str] = {}
     for n in names:
-        g = load_cfg(os.path.join(args.corpus, n), config)
+        path = os.path.join(args.corpus, n)
+        g = load_cfg(path, config)
+        if g.name in files_by_name:
+            raise CfgParseError(
+                f"{files_by_name[g.name]} and {path} both name their program {g.name!r}"
+            )
+        files_by_name[g.name] = path
         m = re.search(r"(\d+)$", os.path.splitext(n)[0])
         programs.append((g.name, int(m.group(1)) if m else -1, g))
 

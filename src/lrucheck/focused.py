@@ -15,12 +15,14 @@ Neither constructor builds the table or the state space: callers pass them.
 The classification searches `unsimplified_model` over the set's access
 skeleton (`cfg.skeleton`) that its abstract phase already ran on: the
 entry and the access sources, with every chain of no-access edges between
-them contracted to one edge.  A focused state changes only on access edges
+them contracted to one edge, built from the program's edges without
+projecting it.  A focused state changes only on access edges
 and is read only at access sources, so the skeleton search finds the same
 states there as a search of the full table, in far fewer pairs.
 
 `simplify_for` is the paper's may-based pruning, for the SMV export, which
-renders the full table for a symbolic model checker.  It relabels the
+projects the program and renders the projection's full table
+(`cfg.adjacency`) for a symbolic model checker.  It relabels the
 accesses to other blocks as no-access edges where the may bound proves `a`
 uncached or the source unreachable.  Every focused state reachable there is
 epsilon, which such an access leaves unchanged, so an explicit search of the
@@ -31,7 +33,7 @@ The test suite states the abstraction over frozensets of blocks and checks
 the search against it.  The search encodes a state as an int.  A
 younger-set is a bitmask over the cache
 set's blocks: bit i stands for `StateSpace.blocks[i]`, the same positions the
-per-set successor table (`cfg.adjacency`) labels its access edges with.
+set's skeleton labels its access edges with.
 Epsilon is `EPSILON_MASK`, -1: OR-ing any bit into it leaves it -1, so the
 transfer needs no case for it.  An access to the focus gives 0; any other
 access ORs in the block's bit, and a mask of k or more bits becomes epsilon.
@@ -93,11 +95,12 @@ class FocusedModel(NamedTuple):
 
     `succ[v]` lists `(dst, i)` per outgoing edge of v, i the position in
     `blocks` of the accessed block or -1 for no access: the rows of the set's
-    `cfg.adjacency` table (in `graph`'s edge order) or of its `cfg.skeleton`.
-    A `simplify_for` model rewrites the full table's rows at the sources where
-    the focus is provably uncached or that are unreachable; every other row
-    is the table's.  `graph` is the projection the table was built from; its
-    cache set is `focus.set_index`.
+    projection's `cfg.adjacency` table (in `graph`'s edge order) or of its
+    `cfg.skeleton`.  A `simplify_for` model rewrites the full table's rows at
+    the sources where the focus is provably uncached or that are unreachable;
+    every other row is the table's.  `graph` gives the entry and the name:
+    the program for a skeleton, the projection the table was built from for
+    a full table.  The cache set is `focus.set_index`.
 
     The alphabet of younger sets is every block but the focus: `universe`.
     """
@@ -136,10 +139,10 @@ class FocusedModel(NamedTuple):
 def unsimplified_model(
     g: Cfg, focus: MemoryBlock, space: StateSpace, adj: Adjacency
 ) -> FocusedModel:
-    """Focused model over the raw projection.
+    """Focused model over a set's successor table, unpruned.
 
-    `space.blocks` must be `block_universe(g)` and `adj` must be `g`'s
-    `adjacency` over `space.blocks` or its `skeleton`.
+    `adj` must be built over `space.blocks`: a projection's `adjacency`, with
+    `g` that projection, or the set's `skeleton`, with `g` the program.
     """
     return FocusedModel(graph=g, focus=focus, k=space.k, blocks=space.blocks, succ=adj.succ)
 
@@ -161,9 +164,9 @@ def simplify_for(
     state ever reaches them.
 
     `may_fix` holds packed may states (see `ai`) at least at the access
-    sources, so a skeleton fixpoint serves.  `adj` must be `g`'s full
-    `adjacency` over `space.blocks`: only the SMV export prunes, and it
-    renders the full table.
+    sources, so a skeleton fixpoint serves; only its vertices' rows are
+    rewritten.  `adj` must be `g`'s full `adjacency` over `space.blocks`:
+    only the SMV export prunes, and it renders the full table.
     """
     k = space.k
     focus_i = space.index_of(focus)
@@ -171,8 +174,7 @@ def simplify_for(
     shift, fmask = focus_i * width, (1 << width) - 1
 
     succ = dict(adj.succ)
-    for v in adj.accessing:
-        s = may_fix[v]
+    for v, s in may_fix.items():
         if s is None or (s >> shift) & fmask >= k:
             succ[v] = tuple([(w, i if i == focus_i else -1) for w, i in succ[v]])
     return FocusedModel(graph=g, focus=focus, k=k, blocks=space.blocks, succ=succ)

@@ -18,8 +18,11 @@ import itertools
 import json
 from collections import deque, namedtuple
 
+from hypothesis import strategies as st
+
 from lrucheck.ai import fixpoint
 from lrucheck.cfg import (
+    Adjacency,
     CacheConfig,
     Cfg,
     Edge,
@@ -103,9 +106,76 @@ def full_table(g, blocks):
     return adjacency(g, blocks, reverse_post_order(g))
 
 
+def table_skeleton(adj, entry):
+    """Reference for `cfg.skeleton`: contract a full successor table to its access skeleton.
+
+    The kept vertices are `entry` and the vertices with an access edge in
+    `adj`, in `adj.order`.  A kept vertex's row lists, for each of its edges
+    `(dst, i)` in edge order, `(w, i)` for every kept vertex w reachable from
+    dst through unkept vertices only (dst itself when it is kept), the w in
+    order; a pair already in the row is not repeated.
+    """
+    kept = {v for v, row in adj.succ.items() if any(i >= 0 for _, i in row)} | {entry}
+    order = tuple(v for v in adj.order if v in kept)
+    rank = {v: r for r, v in enumerate(order)}
+    # closure[u]: the kept vertices reachable from unkept u through unkept
+    # vertices, as a mask over ranks; a least fixpoint of repeated sweeps.
+    unkept = [v for v in reversed(adj.order) if v not in kept]
+    closure = dict.fromkeys(unkept, 0)
+    changed = True
+    while changed:
+        changed = False
+        for u in unkept:
+            old = new = closure[u]
+            for w, _ in adj.succ[u]:
+                r = rank.get(w)
+                new |= closure[w] if r is None else 1 << r
+            if new != old:
+                closure[u] = new
+                changed = True
+
+    succ = {}
+    for v in order:
+        row = {}
+        for w, i in adj.succ[v]:
+            if w in rank:
+                row[w, i] = None
+                continue
+            m = closure[w]
+            while m:
+                low = m & -m
+                row[order[low.bit_length() - 1], i] = None
+                m ^= low
+        succ[v] = tuple(row)
+    return Adjacency(succ=succ, order=order)
+
+
+@st.composite
+def random_programs(draw, sets=1):
+    """Any multigraph of up to 7 vertices and 14 edges over up to 5 blocks, k <= 8.
+
+    Blocks are 8 bytes apart, so with `sets` cache sets block x maps to set
+    x % sets.
+    """
+    n = draw(st.integers(1, 7))
+    blocks = draw(st.integers(1, 5))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(
+        st.tuples(vertex, vertex, st.none() | st.integers(0, blocks - 1)), max_size=14
+    ))
+    config = small_config(k=draw(st.integers(1, 8)), sets=sets)
+    return build_cfg(
+        "v0", [f"v{i}" for i in range(n)],
+        [(f"v{a}", f"v{b}", None if x is None else 8 * x) for a, b, x in edges],
+        config,
+    ), config
+
+
 def analyze_set(pg, k, init, mode):
-    """`classify.abstract_phase` of one projection, its accesses and order built here."""
-    return abstract_phase(pg, k, init, mode, accesses_of(pg), tuple(reverse_post_order(pg)))
+    """`classify.abstract_phase` of one projection, its edges, accesses and order built here."""
+    return abstract_phase(
+        pg, out_edges(pg), k, init, mode, accesses_of(pg), tuple(reverse_post_order(pg))
+    )
 
 
 def raw_model(pg, focus, k):

@@ -26,12 +26,14 @@ from helpers import (
     loop_cfg,
     nonempty_subsets,
     pack,
+    random_programs,
     reference_fixpoint,
     search_cases,
     small_config,
     solve,
     space_for,
     spec_carried,
+    table_skeleton,
     unpack_fixpoint,
     update,
     update_eh,
@@ -51,7 +53,7 @@ from lrucheck.ai import (
     fixpoint,
 )
 from lrucheck.bench import GenSpec, generate
-from lrucheck.cfg import Cfg, CacheConfig, Edge, accesses_of, block_universe, project, skeleton
+from lrucheck.cfg import Cfg, CacheConfig, Edge, accesses_of, block_universe, project
 from lrucheck.concrete import InitMode, StateSpace, collecting_semantics
 from lrucheck.verdict import Verdict
 
@@ -577,7 +579,7 @@ def test_packed_fixpoint_equals_reference(init):
             pg = project(g, s, config)
             space = StateSpace(k=config.associativity, blocks=block_universe(pg))
             full = full_table(pg, space.blocks)
-            for adj in (full, skeleton(full, pg.entry)):
+            for adj in (full, table_skeleton(full, pg.entry)):
                 for d in DOMAINS:
                     got = unpack_fixpoint(d, fixpoint(d, pg, space, init, adj), space)
                     want = reference_fixpoint(SPEC[d.name], pg, space, init, adj)
@@ -595,7 +597,7 @@ def check_skeleton_fixpoints(pg, space, init):
     """
     k, n = space.k, len(space.blocks)
     full = full_table(pg, space.blocks)
-    table = skeleton(full, pg.entry)
+    table = table_skeleton(full, pg.entry)
     for d in (MUST, MAY):
         want = fixpoint(d, pg, space, init, full)
         got = fixpoint(d, pg, space, init, table)
@@ -629,23 +631,6 @@ def test_skeleton_fixpoints_on_search_cases(init):
                 space = StateSpace(k=k, blocks=block_universe(pg))
                 if space.blocks:
                     check_skeleton_fixpoints(pg, space, init)
-
-
-@st.composite
-def random_programs(draw):
-    """Any multigraph of up to 7 vertices and 14 edges over up to 5 blocks, k <= 8."""
-    n = draw(st.integers(1, 7))
-    blocks = draw(st.integers(1, 5))
-    vertex = st.integers(0, n - 1)
-    edges = draw(st.lists(
-        st.tuples(vertex, vertex, st.none() | st.integers(0, blocks - 1)), max_size=14
-    ))
-    config = small_config(k=draw(st.integers(1, 8)))
-    return build_cfg(
-        "v0", [f"v{i}" for i in range(n)],
-        [(f"v{a}", f"v{b}", None if x is None else 8 * x) for a, b, x in edges],
-        config,
-    ), config
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -1,13 +1,20 @@
-"""Parsing, projection and access identity."""
+"""Parsing, projection, access identity and the access skeleton."""
 
 from __future__ import annotations
 
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import build_cfg, cfg_text, full_table, loop_cfg, small_config
+from helpers import (
+    build_cfg,
+    cfg_text,
+    full_table,
+    random_programs,
+    table_skeleton,
+)
+from lrucheck.bench import GenSpec, generate
 from lrucheck.cfg import (
     AccessId,
     CacheConfig,
@@ -15,11 +22,14 @@ from lrucheck.cfg import (
     MemoryBlock,
     accesses_of,
     block_universe,
+    out_edges,
     parse_cfg,
     project,
     reverse_post_order,
     skeleton,
 )
+from lrucheck.classify import Mode, abstract_phase, accesses_by_set
+from lrucheck.concrete import InitMode
 
 
 def test_cache_config_validation():
@@ -239,8 +249,17 @@ def test_reverse_post_order_appends_unreachable(k2_config):
     assert order[-1] == "zzz"
 
 
+def same_skeleton(got, want):
+    """Equal rows in equal key and row order, and equal vertex order."""
+    return list(got.succ.items()) == list(want.succ.items()) and got.order == want.order
+
+
 def skeleton_of(g):
-    return skeleton(full_table(g, block_universe(g)), g.entry)
+    """`cfg.skeleton` of a one-set graph, checked against the reference contraction."""
+    blocks = block_universe(g)
+    sk = skeleton(out_edges(g), g.entry, reverse_post_order(g), blocks)
+    assert same_skeleton(sk, table_skeleton(full_table(g, blocks), g.entry))
+    return sk
 
 
 def test_skeleton_contracts_noaccess_paths(k2_config):
@@ -258,10 +277,8 @@ def test_skeleton_contracts_noaccess_paths(k2_config):
         ],
         k2_config,
     )
-    adj = full_table(g, block_universe(g))
-    sk = skeleton(adj, g.entry)
-    assert sk.order == ("e", "a", "b") == tuple(v for v in adj.order if v in "eab")
-    assert sk.accessing == adj.accessing == {"a", "b"}
+    sk = skeleton_of(g)
+    assert sk.order == ("e", "a", "b") == tuple(v for v in reverse_post_order(g) if v in "eab")
     assert sk.succ == {
         "e": (("a", -1), ("b", -1)),
         "a": (("a", 0), ("b", 0)),
@@ -293,6 +310,52 @@ def test_skeleton_of_unreachable_and_sink_vertices(k2_config):
     # leads back to it.
     assert sk.succ == {"e": (), "zz": (("zz", 0),)}
     assert sk.order == ("e", "zz")
+
+
+def check_skeletons_match_reference(g, config, ks=()):
+    """Every accessed set's skeleton, from the program's edges, against the reference.
+
+    The reference contracts the full successor table of the set's
+    projection.  For each k of `ks`, the skeleton `abstract_phase` builds
+    over the blocks of the set's accesses is checked too.
+    """
+    out = out_edges(g)
+    order = tuple(reverse_post_order(g, out))
+    _, by_set = accesses_by_set(g)
+    for s, accesses in by_set.items():
+        pg = project(g, s, config)
+        blocks = block_universe(pg)
+        want = table_skeleton(full_table(pg, blocks), pg.entry)
+        assert same_skeleton(skeleton(out, g.entry, order, blocks), want), (g.name, s)
+        for k in ks:
+            analysis = abstract_phase(g, out, k, InitMode.EMPTY, Mode.MC_ONLY, accesses, order)
+            assert analysis.space.blocks == blocks, (g.name, s, k)
+            assert same_skeleton(analysis.adj, want), (g.name, s, k)
+
+
+#: The generator shapes of the two pinned benchmark corpora, with their seeds.
+PINNED_SHAPES = (
+    (GenSpec(vertices=400, loops=40, depth=3, blocks=64), range(10)),
+    (GenSpec(vertices=200, loops=20, depth=3, blocks=32), range(5)),
+)
+
+
+@pytest.mark.parametrize("sets", [1, 2, 8])
+def test_skeleton_matches_reference_on_pinned_shapes(sets):
+    for shape, seeds in PINNED_SHAPES:
+        for seed in seeds:
+            config = CacheConfig(associativity=4, num_sets=sets, block_size=32)
+            g = generate(shape._replace(seed=seed), config)
+            check_skeletons_match_reference(g, config, ks=(4, 8))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(lambda sets: random_programs(sets=sets)))
+def test_skeleton_matches_reference_on_random_graphs(program):
+    # Random multigraphs have parallel edges and no-access self-loops, and
+    # with two sets, self-loops that access the other set.
+    g, config = program
+    check_skeletons_match_reference(g, config)
 
 
 def test_block_universe_sorted(straight2):

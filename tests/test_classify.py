@@ -231,11 +231,12 @@ def test_verify_projects_each_set_once(monkeypatch, mode):
     name, config, g = corpus_programs(4, base_seed=300, sets=None)[0]
     config = CacheConfig(associativity=2, num_sets=4, block_size=8)
     report = verify_against_oracle(g, config, InitMode.UNKNOWN, mode)
-    # Only the sets some access maps to are projected, in ascending order.
+    assert report.n_checked > 0
+    # The oracle projects only the sets some access maps to, in ascending
+    # order, and the classification projects none.
     accessed = sorted({a.block.set_index for a in accesses_of(g)})
     assert len(accessed) < 4
     assert calls == accessed
-    assert list(report.classification.sets) == accessed
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -247,6 +248,7 @@ def test_focused_searches_share_the_set_successor_table(monkeypatch, mode):
     tables, orders = [], []
     real_out_edges = lrucheck.cfg.out_edges
     real_order = lrucheck.cfg.reverse_post_order
+    real_project = lrucheck.cfg.project
 
     def counting_out_edges(g):
         tables.append(g)
@@ -256,20 +258,25 @@ def test_focused_searches_share_the_set_successor_table(monkeypatch, mode):
         orders.append(type(g).__name__)
         return real_order(g, adj)
 
-    monkeypatch.setattr(lrucheck.cfg, "out_edges", counting_out_edges)
-    monkeypatch.setattr(lrucheck.cfg, "reverse_post_order", counting_order)
-    monkeypatch.setattr(lrucheck.classify, "reverse_post_order", counting_order)
+    def no_table(*args, **kwargs):
+        raise AssertionError("the classification builds no projection or full table")
+
+    for module in (lrucheck.cfg, lrucheck.classify):
+        monkeypatch.setattr(module, "out_edges", counting_out_edges)
+        monkeypatch.setattr(module, "reverse_post_order", counting_order)
+        monkeypatch.setattr(module, "project", no_table)
+    monkeypatch.setattr(lrucheck.cfg, "adjacency", no_table)
     monkeypatch.setattr(lrucheck.concrete, "reverse_post_order", counting_order)
     name, config, g = corpus_programs(3, base_seed=300, sets=None)[2]
     result = classify_all(g, config, InitMode.UNKNOWN, mode)
     if mode is not Mode.AI_ONLY:
         assert result.stats.focused_runs > 0
-    # One order per program, walking the program's own edges; then one
-    # successor table per set with accesses, none per fixpoint or search.
+    # One walk of the program's edges and one order per program; every set's
+    # skeleton, fixpoints and searches are built from them.
     assert orders == ["Cfg"]
-    want = [g] + [pg for pg, _ in result.sets.values() if accesses_of(pg)]
-    assert [id(t) for t in tables] == [id(t) for t in want]
+    assert [id(t) for t in tables] == [id(g)]
     # The oracle of `verify` walks every projection in that same order.
+    monkeypatch.setattr(lrucheck.classify, "project", real_project)
     orders.clear()
     report = verify_against_oracle(g, config, InitMode.UNKNOWN, mode)
     assert report.n_checked > 0

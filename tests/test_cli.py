@@ -209,6 +209,7 @@ def test_export_smv_block_override(capsys, tmp_path):
 
 def test_export_smv_builds_each_set_table_once(capsys, monkeypatch, tmp_path):
     import lrucheck.cfg
+    import lrucheck.cli
 
     calls = []
     real_out_edges = lrucheck.cfg.out_edges
@@ -217,7 +218,8 @@ def test_export_smv_builds_each_set_table_once(capsys, monkeypatch, tmp_path):
         calls.append(g)
         return real_out_edges(g)
 
-    monkeypatch.setattr(lrucheck.cfg, "out_edges", counting_out_edges)
+    for module in (lrucheck.cfg, lrucheck.cli):
+        monkeypatch.setattr(module, "out_edges", counting_out_edges)
     path = miss_graph_file(tmp_path)
     code, out, err = run_cli(
         capsys, "export-smv", str(path), "--assoc", "2", "--sets", "2", "--block-size", "8",
@@ -225,8 +227,9 @@ def test_export_smv_builds_each_set_table_once(capsys, monkeypatch, tmp_path):
     )
     assert (code, err) == (0, "")
     assert len(out.split()) == 4  # blocks 0 and 2 in set 0, 1 and 3 in set 1
-    # One walk for the program order, then one successor table per accessed
-    # set, which the analysis and every model of the set share.
+    # One walk of the program's edges, which every set's skeleton shares,
+    # then one full successor table per accessed set, which every model of
+    # the set renders.
     assert len(calls) == 1 + 2
 
 
@@ -333,6 +336,24 @@ def test_bench_repeated_mode(capsys, tmp_path):
     )
     assert (code, out) == (2, "")
     assert err == "error: --modes names ai+mc more than once\n"
+    assert not out_csv.exists()
+
+
+def test_bench_repeated_program_name(capsys, tmp_path):
+    # Two files that carry the same JSON "name": the summary keys rows by
+    # name, so one program would silently drop out of the focused-run ratio.
+    corpus = tmp_path / "corpus"
+    run_cli(capsys, "gen", "--outdir", str(corpus), "--count", "2")
+    renamed = json.loads((corpus / "gen1.json").read_text(encoding="utf-8"))
+    renamed["name"] = "gen0"
+    (corpus / "gen1.json").write_text(json.dumps(renamed), encoding="utf-8")
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run_cli(
+        capsys, "bench", "--corpus", str(corpus), "--out", str(out_csv),
+    )
+    assert (code, out) == (2, "")
+    first, second = corpus / "gen0.json", corpus / "gen1.json"
+    assert err == f"error: {first} and {second} both name their program 'gen0'\n"
     assert not out_csv.exists()
 
 

@@ -24,6 +24,7 @@ from helpers import (
     encode_state,
     full_table,
     pruned_model,
+    random_programs,
     raw_model,
     reference_reach,
     reference_seeds,
@@ -36,7 +37,6 @@ from helpers import (
     update,
     update_focus,
 )
-from test_ai import random_programs
 from lrucheck.ai import MAY
 from lrucheck.bench import GenSpec, generate
 from lrucheck.cfg import (
@@ -190,11 +190,11 @@ def test_seeds_are_counted_without_enumeration():
     assert time.perf_counter() - t0 < 1.0
 
 
-def set_model(analysis, focus, pruned, table):
-    """The focus's model over `table`, may-pruned by `simplify_for` when `pruned`."""
+def set_model(pg, analysis, focus, pruned, table):
+    """The focus's model of projection `pg` over `table`, pruned by `simplify_for` if `pruned`."""
     if pruned:
-        return simplify_for(analysis.graph, focus, analysis.may, analysis.space, table)
-    return unsimplified_model(analysis.graph, focus, analysis.space, table)
+        return simplify_for(pg, focus, analysis.may, analysis.space, table)
+    return unsimplified_model(pg, focus, analysis.space, table)
 
 
 @pytest.mark.parametrize("init", list(InitMode))
@@ -211,7 +211,7 @@ def test_mask_search_matches_reference_search(init):
             residual = analysis.residual_by_block()
             for simplified in (False, True):
                 for focus in space.blocks:
-                    model = set_model(analysis, focus, simplified, full)
+                    model = set_model(pg, analysis, focus, simplified, full)
                     if simplified:
                         may = unpack_fixpoint(MAY, analysis.may, space)
                         edges = reference_simplified_edges(pg, focus, may, k, space)
@@ -293,7 +293,8 @@ def test_skeleton_search_matches_raw_search(init):
             space = analysis.space
             full = full_table(pg, space.blocks)
             table = analysis.adj
-            kept = full.accessing | {pg.entry}
+            kept = {v for v, row in full.succ.items() if any(i >= 0 for _, i in row)}
+            kept.add(pg.entry)
             assert table.succ.keys() == kept
             for focus, goal_sets in goal_cases(analysis):
                 raw_model = unsimplified_model(pg, focus, space, full)
@@ -339,8 +340,8 @@ def test_pruned_search_matches_plain_search(init):
             tables = {"full": full_table(pg, analysis.space.blocks), "skeleton": analysis.adj}
             for focus, goal_sets in goal_cases(analysis):
                 for table_name, table in tables.items():
-                    plain = set_model(analysis, focus, False, table)
-                    pruned = set_model(analysis, focus, True, table)
+                    plain = set_model(pg, analysis, focus, False, table)
+                    pruned = set_model(pg, analysis, focus, True, table)
                     seeds = initial_focused(init)
                     for goal_checks in goal_sets:
                         goals = None
@@ -377,7 +378,7 @@ def assert_two_seeds_match_all_seeds(pg, k, init, case):
     seeds = initial_focused(init)
     for focus, goal_sets in goal_cases(analysis):
         for (table_name, table), pruned in itertools.product(tables.items(), (False, True)):
-            model = set_model(analysis, focus, pruned, table)
+            model = set_model(pg, analysis, focus, pruned, table)
             every = all_seed_masks(model, init)
             where = (*case, k, init.value, focus.index, table_name, pruned)
             want = focused_reach(model, every)

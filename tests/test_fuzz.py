@@ -6,7 +6,8 @@ stderr when it fails, and never raise.  The mutations start from the
 programs in docs/examples: truncation, byte flips, deep nesting, huge
 integers, values of the wrong type and duplicate keys.  Flags take cheap
 extreme values: a huge set count, a 2048-way unknown cache, a budget of 1,
-and associativities past the 4096 limit.
+and associativities past the 4096 limit.  `gen` gets loops nested too deep
+for its builder and a vertex budget too large to hold.
 Every program keeps a handful of blocks, so no call can allocate much.
 """
 
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from lrucheck.bench import GenSpec
 from lrucheck.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -171,3 +173,19 @@ def test_extreme_flags_keep_the_exit_code_contract(capsys, tmp_path, example, fl
     for command in ("analyze", "verify"):
         argv = [command, str(example), "--out", str(tmp_path / "report.json"), *flags]
         assert call(capsys, argv) == want, argv
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [{"vertices": 4000, "loops": 990, "depth": 990}, {"vertices": 10**12}],
+    ids=["depth-990", "vertices-10^12"],
+)
+def test_gen_rejects_shapes_it_cannot_build(capsys, tmp_path, knobs):
+    # Nesting 990 loops deep overflowed the builder's recursion, and a
+    # 10**12-vertex budget allocated without bound.  The spec is checked
+    # first, so a missing range check fails here instead of building.
+    with pytest.raises(ValueError):
+        GenSpec(**knobs)
+    flags = [f"--gen-{knob}={value}" for knob, value in knobs.items()]
+    assert call(capsys, ["gen", "--outdir", str(tmp_path), *flags]) == 2
+    assert not any(tmp_path.iterdir())
