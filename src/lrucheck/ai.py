@@ -29,8 +29,8 @@ vertex.
 
 Layout: field j occupies bits [j*w, (j+1)*w) with w = `field_width(k)` =
 k.bit_length() + 1, so bound j of state s is `(s >> j*w) & (2**w - 1)`; the
-readers (`ai_classify`, `focused.simplify_for`) compute that shift and mask
-once per access or focus.  A bound is at most k < 2**(w-1), which leaves the
+readers (`ai_classify`, `uncached_at`) compute that shift and mask once per
+access or block.  A bound is at most k < 2**(w-1), which leaves the
 top bit of every field, its guard bit, clear.  With L a 1 in the low bit of
 every field and H = L << (w-1) the guard bits, one subtraction compares every
 field at once:
@@ -61,7 +61,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from typing import Optional
 
-from .cfg import AccessId, Adjacency, Cfg
+from .cfg import AccessId, Adjacency, Cfg, MemoryBlock
 from .concrete import InitMode, StateSpace
 from .verdict import FinalVerdict, Provenance, Verdict
 
@@ -111,20 +111,19 @@ def fixpoint(
 ) -> Fixpoint:
     """Least fixpoint of a domain over a successor table of a graph.
 
-    The vertices are those of the table, `adj.succ`: every vertex of `g` for
-    its `adjacency`, the entry and the access sources of one cache set for
-    the set's `skeleton`, which the classification runs on; only `g.entry`
-    is read from `g`.  Entry starts at the domain's seed,
-    every other vertex at BOTTOM.  Access edges apply the domain transfer,
-    no-access edges propagate unchanged, and joins accumulate at edge
-    targets.  Vertices are visited in the table's reverse post-order,
+    The vertices are those of the table, `adj.succ`: for the set's `skeleton`,
+    which the classification runs on, the entry and the access sources of one
+    cache set; only `g.entry` is read from `g`.  Entry starts at the domain's
+    seed, every other vertex at BOTTOM.  Access edges apply the domain
+    transfer, no-access edges propagate unchanged, and joins accumulate at
+    edge targets.  Vertices are visited in the table's reverse post-order,
     `adj.order` (for a skeleton, the program's order restricted to the kept
     vertices), with FIFO re-queuing, so an acyclic graph converges in one
     sweep.  The transfer reads the carried bound, so it is not monotone and
     the result depends on this order and on the table: every order is sound.
-    Must and may are monotone, so their skeleton fixpoint equals the full
-    one at every kept vertex.  Unreachable vertices stay BOTTOM.  `adj` must
-    be built over `space.blocks`.
+    Must and may are monotone, so on a skeleton they reach, at every kept
+    vertex, the bounds they reach on the set's whole projection.  Unreachable
+    vertices stay BOTTOM.  `adj` must be built over `space.blocks`.
     """
     k = space.k
     n = len(space.blocks)
@@ -189,6 +188,13 @@ def carried(fix: Fixpoint, space: StateSpace) -> Fixpoint:
     """
     shift = len(space.blocks) * field_width(space.k)
     return {v: None if s is None else s >> shift for v, s in fix.items()}
+
+
+def uncached_at(may: Fixpoint, space: StateSpace, block: MemoryBlock) -> set[str]:
+    """The vertices of a may fixpoint that bound `block`'s age by k, or are unreachable."""
+    w = field_width(space.k)
+    shift, fmask = space.index_of(block) * w, (1 << w) - 1
+    return {v for v, s in may.items() if s is None or (s >> shift) & fmask == space.k}
 
 
 def ai_classify(

@@ -6,7 +6,7 @@ cache splits into independent cache sets, so the analyses look at one set at
 a time, where every access to a block of a different set counts as no
 access.  The classification reads that view straight from the program's
 edges (`skeleton`); the oracle and the SMV export copy it out as a
-projection (`project`), with the full successor table (`adjacency`).
+projection (`project`).
 """
 
 from __future__ import annotations
@@ -318,31 +318,15 @@ def reverse_post_order(g: Cfg, adj: Optional[dict[str, list[Edge]]] = None) -> l
 
 
 class Adjacency(NamedTuple):
-    """A graph's successor lists with blocks as universe positions, plus its vertex order.
+    """A successor table with blocks as universe positions, plus its vertex order.
 
-    `succ[v]` lists `(dst, i)` per outgoing edge of v in edge order, where i is
-    the accessed block's position in the universe the map was built for, or -1
-    for a no-access edge.  `order` is the reverse post-order of the vertices
-    of `succ`.
+    `succ[v]` lists `(dst, i)` pairs, i the accessed block's position in the
+    universe the table was built for or -1 for no access.  `order` is the
+    reverse post-order of the vertices of `succ`.
     """
 
     succ: dict[str, tuple[tuple[str, int], ...]]
     order: tuple[str, ...]
-
-
-def adjacency(g: Cfg, blocks: Sequence[MemoryBlock], order: Sequence[str]) -> Adjacency:
-    """Build the Adjacency of a graph over the block universe `blocks`.
-
-    `order` must be the graph's `reverse_post_order`.  A projection only
-    drops no-access self-loops, which a depth-first search never follows, so
-    the program's order serves every one of its projections.
-    """
-    position = {b: i for i, b in enumerate(blocks)}
-    succ = {
-        v: tuple([(e.dst, -1 if e.block is None else position[e.block]) for e in edges])
-        for v, edges in out_edges(g).items()
-    }
-    return Adjacency(succ=succ, order=tuple(order))
 
 
 def skeleton(
@@ -364,7 +348,7 @@ def skeleton(
 
     A search whose states change only on access edges, and which reads its
     states only at access sources and the entry, finds the same states at
-    every kept vertex in the skeleton as in the projection's `adjacency`.
+    every kept vertex in the skeleton as in the set's projection.
     """
     position = {b: i for i, b in enumerate(blocks)}
     kept = {entry}

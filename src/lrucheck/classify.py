@@ -18,10 +18,10 @@ and the access sources, the only vertices either phase reads, with each
 chain of no-access edges contracted.  It is built once per set straight from
 the program's edges and reverse post-order, both computed once per program;
 the classification never projects the program.  Must and may reach
-the same bounds there as on the full successor table; the exists domains,
+the same bounds there as on the set's projection; the exists domains,
 whose transfer is not monotone, reach sound bounds that may differ (see
 `ai.fixpoint`).  The focused searches use the skeleton as it is: the
-may-based pruning of `focused.simplify_for` relabels only rows whose
+may-based pruning of `focused.simplify_for` relabels only edges whose
 reachable focused states are all epsilon, so it cannot change what an
 explicit search explores, and only the SMV export applies it.
 """
@@ -111,7 +111,8 @@ class ClassifyResult(NamedTuple):
     """Verdicts in the program's access order, with the run's counters.
 
     `order` is the program's `reverse_post_order`, which serves every
-    projection, so the oracle can reuse it.
+    projection, so the oracle can reuse it: a projection only drops no-access
+    self-loops, which the order's depth-first search never follows.
     """
 
     verdicts: list[FinalVerdict]

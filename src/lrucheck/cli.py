@@ -31,7 +31,6 @@ from .bench import (
 from .cfg import (
     CacheConfig,
     CfgParseError,
-    adjacency,
     load_cfg,
     out_edges,
     project,
@@ -39,7 +38,7 @@ from .cfg import (
 )
 from .classify import Mode, abstract_phase, accesses_by_set, classify_all, verify_against_oracle
 from .concrete import DEFAULT_ORACLE_BUDGET, InitMode
-from .focused import DEFAULT_MC_BUDGET, export_smv, simplify_for, smv_filename, unsimplified_model
+from .focused import DEFAULT_MC_BUDGET, export_smv, simplify_for, smv_filename
 from .report import build_report, render_report
 
 EXIT_OK = 0
@@ -165,22 +164,26 @@ def _load_config_file(path: str, sub: argparse.ArgumentParser) -> dict:
     """Read `key = value` defaults; keys are long option names without dashes."""
     valid = _config_keys(sub)
     overrides: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CfgParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            dest = key.replace("-", "_")
-            if dest not in valid:
-                if any(a.dest == dest for a in sub._actions):
-                    raise CfgParseError(
-                        f"{path}:{lineno}: option {key!r} cannot be set in a config file"
-                    )
-                raise CfgParseError(f"{path}:{lineno}: unknown option {key!r}")
-            overrides[dest] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise CfgParseError(f"{path}: not valid UTF-8: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CfgParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        dest = key.replace("-", "_")
+        if dest not in valid:
+            if any(a.dest == dest for a in sub._actions):
+                raise CfgParseError(
+                    f"{path}:{lineno}: option {key!r} cannot be set in a config file"
+                )
+            raise CfgParseError(f"{path}:{lineno}: unknown option {key!r}")
+        overrides[dest] = value
     return overrides
 
 
@@ -288,6 +291,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_export_smv(args: argparse.Namespace) -> int:
     config = _cache_config(args)
     g = load_cfg(args.input, config)
+    if g.name in (".", "..") or any(c in g.name for c in "/\\\0"):
+        raise CfgParseError(
+            f"program name {g.name!r} cannot name a file in --outdir: "
+            "it must be one path component"
+        )
     init = InitMode(args.init)
     mode = Mode(args.mode)
     os.makedirs(args.outdir, exist_ok=True)
@@ -313,13 +321,12 @@ def cmd_export_smv(args: argparse.Namespace) -> int:
             }
 
         pg = project(g, s, config)
-        table = adjacency(pg, analysis.space.blocks, order)
         for block, targets in targets_by_block.items():
             if args.no_simplify or analysis.may is None:
-                model = unsimplified_model(pg, block, analysis.space, table)
+                edges = pg.edges
             else:
-                model = simplify_for(pg, block, analysis.may, analysis.space, table)
-            text = export_smv(model, init, targets)
+                edges = simplify_for(pg, block, analysis.may, analysis.space)
+            text = export_smv(pg, edges, block, analysis.space, init, targets)
             path = os.path.join(args.outdir, smv_filename(g.name, s, block))
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -11,23 +11,22 @@ Explicit-state breadth-first search over (vertex, focused state) pairs then
 answers always-hit and always-miss questions about `a` precisely.
 
 A model (`FocusedModel`) is a cache set's successor table plus one focus.
-Neither constructor builds the table or the state space: callers pass them.
-The classification searches `unsimplified_model` over the set's access
-skeleton (`cfg.skeleton`) that its abstract phase already ran on: the
-entry and the access sources, with every chain of no-access edges between
-them contracted to one edge, built from the program's edges without
-projecting it.  A focused state changes only on access edges
-and is read only at access sources, so the skeleton search finds the same
-states there as a search of the full table, in far fewer pairs.
+`unsimplified_model` builds neither the table nor the state space: callers
+pass them.  The classification searches it over the set's access skeleton
+(`cfg.skeleton`) that its abstract phase already ran on: the entry and the
+access sources, with every chain of no-access edges between them contracted
+to one edge, built from the program's edges without projecting it.  A
+focused state changes only on access edges and is read only at access
+sources, so the skeleton search finds the same states there as a search of
+the set's whole projection, in far fewer pairs.
 
 `simplify_for` is the paper's may-based pruning, for the SMV export, which
-projects the program and renders the projection's full table
-(`cfg.adjacency`) for a symbolic model checker.  It relabels the
-accesses to other blocks as no-access edges where the may bound proves `a`
-uncached or the source unreachable.  Every focused state reachable there is
-epsilon, which such an access leaves unchanged, so an explicit search of the
-pruned model explores the same pairs in the same order: the classification
-does not prune.
+projects the program and renders the projection's edges for a symbolic
+model checker.  It relabels the accesses to other blocks as no-access edges
+where the may bound proves `a` uncached or the source unreachable.  Every
+focused state reachable there is epsilon, which such an access leaves
+unchanged, so an explicit search of the pruned edges explores the same
+pairs in the same order: the classification does not prune.
 
 The test suite states the abstraction over frozensets of blocks and checks
 the search against it.  The search encodes a state as an int.  A
@@ -56,7 +55,7 @@ from collections import deque
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .cfg import AccessId, Adjacency, Cfg, Edge, MemoryBlock
-from .ai import Fixpoint, field_width
+from .ai import Fixpoint, uncached_at
 from .concrete import InitMode, StateSpace
 from .verdict import Verdict
 
@@ -94,13 +93,9 @@ class FocusedModel(NamedTuple):
     """One block's model: the set's successor table plus the focus.
 
     `succ[v]` lists `(dst, i)` per outgoing edge of v, i the position in
-    `blocks` of the accessed block or -1 for no access: the rows of the set's
-    projection's `cfg.adjacency` table (in `graph`'s edge order) or of its
-    `cfg.skeleton`.  A `simplify_for` model rewrites the full table's rows at
-    the sources where the focus is provably uncached or that are unreachable;
-    every other row is the table's.  `graph` gives the entry and the name:
-    the program for a skeleton, the projection the table was built from for
-    a full table.  The cache set is `focus.set_index`.
+    `blocks` of the accessed block or -1 for no access: the rows of the
+    set's `cfg.skeleton`.  `graph` gives the entry and the name.  The cache
+    set is `focus.set_index`.
 
     The alphabet of younger sets is every block but the focus: `universe`.
     """
@@ -119,65 +114,42 @@ class FocusedModel(NamedTuple):
     def universe(self) -> tuple[MemoryBlock, ...]:
         return tuple(b for b in self.blocks if b != self.focus)
 
-    def edges(self) -> list[Edge]:
-        """The model's edges in `graph`'s edge order; `succ` must be the full table.
-
-        No-access self-loops are dropped, like projection drops them; the
-        rows keep the ones relabeling creates, where the search passes over
-        them.
-        """
-        rows = {v: iter(row) for v, row in self.succ.items()}
-        out: list[Edge] = []
-        for e in self.graph.edges:
-            dst, i = next(rows[e.src])
-            if i < 0 and dst == e.src:
-                continue
-            out.append(Edge(e.src, None if i < 0 else self.blocks[i], dst))
-        return out
-
 
 def unsimplified_model(
     g: Cfg, focus: MemoryBlock, space: StateSpace, adj: Adjacency
 ) -> FocusedModel:
     """Focused model over a set's successor table, unpruned.
 
-    `adj` must be built over `space.blocks`: a projection's `adjacency`, with
-    `g` that projection, or the set's `skeleton`, with `g` the program.
+    `adj` must be built over `space.blocks`, and `g` must give its entry:
+    the set's `skeleton`, with `g` the program.
     """
     return FocusedModel(graph=g, focus=focus, k=space.k, blocks=space.blocks, succ=adj.succ)
 
 
-def simplify_for(
-    g: Cfg,
-    focus: MemoryBlock,
-    may_fix: Fixpoint,
-    space: StateSpace,
-    adj: Adjacency,
-) -> FocusedModel:
+def simplify_for(g: Cfg, focus: MemoryBlock, may_fix: Fixpoint, space: StateSpace) -> list[Edge]:
     """Shrink a projection to what can matter for the focused block, for export.
 
-    An access edge whose source proves the focus uncached (may bound k) is
-    relabeled to a no-access edge, unless it accesses the focus itself: from
-    such a source the focused state is necessarily epsilon, which any other
-    access preserves, exactly like a no-access edge.  The access edges of
-    unreachable vertices (BOTTOM in the may fixpoint) are relabeled too; no
-    state ever reaches them.
+    Returns `g`'s edges in order.  An access edge whose source proves the
+    focus uncached (may bound k) is relabeled to a no-access edge, unless it
+    accesses the focus itself: from such a source the focused state is
+    necessarily epsilon, which any other access preserves, exactly like a
+    no-access edge.  The access edges of unreachable vertices (BOTTOM in the
+    may fixpoint) are relabeled too; no state ever reaches them.  A relabeled
+    self-loop is dropped, as projection drops no-access self-loops.
 
     `may_fix` holds packed may states (see `ai`) at least at the access
-    sources, so a skeleton fixpoint serves; only its vertices' rows are
-    rewritten.  `adj` must be `g`'s full `adjacency` over `space.blocks`:
-    only the SMV export prunes, and it renders the full table.
+    sources, so a skeleton fixpoint serves; only its vertices' edges are
+    relabeled.
     """
-    k = space.k
-    focus_i = space.index_of(focus)
-    width = field_width(k)
-    shift, fmask = focus_i * width, (1 << width) - 1
-
-    succ = dict(adj.succ)
-    for v, s in may_fix.items():
-        if s is None or (s >> shift) & fmask >= k:
-            succ[v] = tuple([(w, i if i == focus_i else -1) for w, i in succ[v]])
-    return FocusedModel(graph=g, focus=focus, k=k, blocks=space.blocks, succ=succ)
+    uncached = uncached_at(may_fix, space, focus)
+    edges: list[Edge] = []
+    for e in g.edges:
+        if e.block is not None and e.block != focus and e.src in uncached:
+            if e.src == e.dst:
+                continue
+            e = Edge(e.src, None, e.dst)
+        edges.append(e)
+    return edges
 
 
 class FocusedReach(NamedTuple):
@@ -363,9 +335,22 @@ def _smv_location(i: int, vertex: str) -> str:
     return f"L{i}_{clean}"
 
 
-def export_smv(model: FocusedModel, init: InitMode, targets: Sequence[AccessId]) -> str:
-    """Render a focused model as an SMV module.
+#: Escapes of the characters that could end an SMV comment line: the
+#: control characters and the Unicode line and paragraph separators.
+_COMMENT_ESCAPES = {
+    c: repr(chr(c))[1:-1] for c in (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)
+}
 
+
+def export_smv(
+    g: Cfg, edges: Sequence[Edge], focus: MemoryBlock, space: StateSpace, init: InitMode,
+    targets: Sequence[AccessId],
+) -> str:
+    """Render one block's focused model of a projection as an SMV module.
+
+    `edges` are the model's edges: the projection `g`'s own, or those
+    `simplify_for` prunes from them.  `g` gives the vertices, the entry and
+    the name, `space` the associativity and the set's blocks.
     One enumerated location variable mirrors the graph, one boolean says
     whether the focused block is cached, and one boolean per universe block
     tracks membership in the younger set (all false whenever uncached, so
@@ -373,14 +358,13 @@ def export_smv(model: FocusedModel, init: InitMode, targets: Sequence[AccessId])
     vertices without successors stutter.  For every target access two
     INVARSPEC properties are emitted: the always-hit check (cached whenever
     control is at the access source) and the always-miss check (uncached
-    there).  Variable and disjunct order is deterministic.
+    there), each under a comment with the access's label, its control
+    characters escaped.  Variable and disjunct order is deterministic.
     """
-    g = model.graph
-    k = model.k
-    focus = model.focus
+    k = space.k
     loc = {v: _smv_location(i, v) for i, v in enumerate(g.vertices)}
-    bits = {b: f"y_{b.index}" for b in model.universe}
-    bit_names = [bits[b] for b in model.universe]
+    bits = {b: f"y_{b.index}" for b in space.blocks if b != focus}
+    bit_names = list(bits.values())
 
     def all_next_zero() -> str:
         return " & ".join(f"!next({n})" for n in bit_names)
@@ -413,7 +397,6 @@ def export_smv(model: FocusedModel, init: InitMode, targets: Sequence[AccessId])
             f"  loc = {loc[g.entry]} & (({uncached_init}) | (cached & ({size_sum()} <= {k - 1})))"
         )
 
-    edges = model.edges()
     disjuncts: list[str] = []
     for e in edges:
         head = f"loc = {loc[e.src]} & next(loc) = {loc[e.dst]}"
@@ -444,8 +427,9 @@ def export_smv(model: FocusedModel, init: InitMode, targets: Sequence[AccessId])
     lines.append("  " + "\n| ".join(disjuncts))
 
     for a in targets:
-        lines.append(f"-- access {a.label}: always-hit check")
+        label = a.label.translate(_COMMENT_ESCAPES)
+        lines.append(f"-- access {label}: always-hit check")
         lines.append(f"INVARSPEC (loc = {loc[a.src]}) -> cached;")
-        lines.append(f"-- access {a.label}: always-miss check")
+        lines.append(f"-- access {label}: always-miss check")
         lines.append(f"INVARSPEC (loc = {loc[a.src]}) -> !cached;")
     return "\n".join(lines) + "\n"

@@ -28,7 +28,6 @@ from lrucheck.cfg import (
     Edge,
     MemoryBlock,
     accesses_of,
-    adjacency,
     block_universe,
     out_edges,
     parse_cfg,
@@ -102,8 +101,18 @@ def space_for(n_blocks, k) -> StateSpace:
 
 
 def full_table(g, blocks):
-    """`cfg.adjacency` of a graph over `blocks`, in the graph's own order."""
-    return adjacency(g, blocks, reverse_post_order(g))
+    """A graph's full successor table over `blocks`, in the graph's own order.
+
+    `succ[v]` lists `(dst, i)` per outgoing edge of v in edge order, i the
+    position of the edge's block in `blocks` or -1 for no access: the table
+    `cfg.skeleton` contracts, and the reference its tests compare with.
+    """
+    position = {b: i for i, b in enumerate(blocks)}
+    succ = {
+        v: tuple([(e.dst, -1 if e.block is None else position[e.block]) for e in edges])
+        for v, edges in out_edges(g).items()
+    }
+    return Adjacency(succ=succ, order=tuple(reverse_post_order(g)))
 
 
 def table_skeleton(adj, entry):
@@ -189,9 +198,15 @@ def solve(domain, pg, space, init=InitMode.EMPTY):
     return fixpoint(domain, pg, space, init, full_table(pg, space.blocks))
 
 
+def pruned_cfg(pg, focus, may, space):
+    """The projection `pg` with the edges `simplify_for` prunes for `focus`."""
+    return Cfg(pg.entry, pg.vertices, tuple(simplify_for(pg, focus, may, space)), pg.name)
+
+
 def pruned_model(pg, focus, may, space):
-    """`simplify_for` with the successor table built here."""
-    return simplify_for(pg, focus, may, space, full_table(pg, space.blocks))
+    """`unsimplified_model` over the full table of `pruned_cfg`, built here."""
+    pc = pruned_cfg(pg, focus, may, space)
+    return unsimplified_model(pc, focus, space, full_table(pc, space.blocks))
 
 
 # --- concrete semantics: the age-vector specification ------------------------
@@ -562,6 +577,35 @@ def corpus_programs(count, base_seed=0, sets=1, block=8):
         config = CacheConfig(associativity=k, num_sets=n_sets, block_size=block)
         g = generate(spec, config, name=f"gen{spec.seed}")
         out.append((g.name, config, g))
+    return out
+
+
+#: (k, blocks, initial cache) of the `search_corpus` shapes: more blocks than
+#: ways, so the abstract phase leaves many blocks to the focused search.
+SEARCH_SHAPES = (
+    (2, 6, InitMode.UNKNOWN),
+    (4, 8, InitMode.UNKNOWN),
+    (8, 12, InitMode.EMPTY),
+    (2, 8, InitMode.EMPTY),
+    (4, 10, InitMode.EMPTY),
+)
+
+
+def search_corpus(seeds=40):
+    """(name, config, init, cfg) per shape of `SEARCH_SHAPES` and seed, one cache set.
+
+    20 to 59 vertices, 2 to 6 loops nested up to depth 3, small enough for
+    the oracle at both initial caches.
+    """
+    from lrucheck.bench import GenSpec, generate
+
+    out = []
+    for k, blocks, init in SEARCH_SHAPES:
+        config = CacheConfig(associativity=k, num_sets=1, block_size=8)
+        for seed in range(seeds):
+            spec = GenSpec(vertices=20 + seed, loops=2 + seed % 5, depth=3, blocks=blocks, seed=seed)
+            name = f"k{k}b{blocks}-{init.value}-{seed}"
+            out.append((name, config, init, generate(spec, config, name=name)))
     return out
 
 

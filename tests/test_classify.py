@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import build_cfg, corpus_programs, small_config
+from helpers import build_cfg, corpus_programs, random_programs, search_corpus, small_config
 from test_ai import exists_hit_only_cfg, exists_miss_only_cfg
 from lrucheck.cfg import CacheConfig, accesses_of, project
 from lrucheck.classify import (
@@ -258,14 +260,13 @@ def test_focused_searches_share_the_set_successor_table(monkeypatch, mode):
         orders.append(type(g).__name__)
         return real_order(g, adj)
 
-    def no_table(*args, **kwargs):
-        raise AssertionError("the classification builds no projection or full table")
+    def no_projection(*args, **kwargs):
+        raise AssertionError("the classification builds no projection")
 
     for module in (lrucheck.cfg, lrucheck.classify):
         monkeypatch.setattr(module, "out_edges", counting_out_edges)
         monkeypatch.setattr(module, "reverse_post_order", counting_order)
-        monkeypatch.setattr(module, "project", no_table)
-    monkeypatch.setattr(lrucheck.cfg, "adjacency", no_table)
+        monkeypatch.setattr(module, "project", no_projection)
     monkeypatch.setattr(lrucheck.concrete, "reverse_post_order", counting_order)
     name, config, g = corpus_programs(3, base_seed=300, sets=None)[2]
     result = classify_all(g, config, InitMode.UNKNOWN, mode)
@@ -334,6 +335,40 @@ def test_oracle_agreement_on_corpus(mode):
     assert total > 0
     if mode is Mode.AI_ONLY:
         assert mc_resolved == 0
+
+
+def assert_oracle_agrees_in_every_mode(g, config, init, case):
+    """Zero oracle disagreements in every mode; equal verdicts in the three MC modes.
+
+    Returns the number of focused searches `ai+mc` ran.
+    """
+    verdicts = {}
+    for mode in Mode:
+        report = verify_against_oracle(g, config, init, mode)
+        assert report.n_disagreements == 0, (*case, init, mode)
+        verdicts[mode] = [(fv.access, fv.verdict) for fv in report.classification.verdicts]
+        if mode is Mode.AI_MC:
+            runs = report.classification.stats.focused_runs
+    mc_modes = (Mode.AI_MC, Mode.AI_MC_NO_DU, Mode.MC_ONLY)
+    assert len({tuple(verdicts[mode]) for mode in mc_modes}) == 1, case
+    return runs
+
+
+def test_oracle_agreement_where_the_search_does_the_work():
+    # More blocks than ways and nested loops: ai+mc leaves 629 blocks to the
+    # focused search here, against 32 in the empty-cache acceptance corpus.
+    runs = sum(
+        assert_oracle_agrees_in_every_mode(g, config, init, (name,))
+        for name, config, init, g in search_corpus()
+    )
+    assert runs >= 500
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(random_programs(), st.sampled_from(list(InitMode)))
+def test_oracle_agreement_in_every_mode_on_random_graphs(program, init):
+    g, config = program
+    assert_oracle_agrees_in_every_mode(g, config, init, ("random",))
 
 
 def test_stats_conserved_on_corpus():

@@ -207,7 +207,7 @@ def test_export_smv_block_override(capsys, tmp_path):
     assert len(module.specs) == 4  # block 1 is accessed twice
 
 
-def test_export_smv_builds_each_set_table_once(capsys, monkeypatch, tmp_path):
+def test_export_smv_walks_the_program_edges_once(capsys, monkeypatch, tmp_path):
     import lrucheck.cfg
     import lrucheck.cli
 
@@ -227,10 +227,9 @@ def test_export_smv_builds_each_set_table_once(capsys, monkeypatch, tmp_path):
     )
     assert (code, err) == (0, "")
     assert len(out.split()) == 4  # blocks 0 and 2 in set 0, 1 and 3 in set 1
-    # One walk of the program's edges, which every set's skeleton shares,
-    # then one full successor table per accessed set, which every model of
-    # the set renders.
-    assert len(calls) == 1 + 2
+    # One walk of the program's edges, which every set's skeleton shares;
+    # each model renders its projection's edges as they are.
+    assert len(calls) == 1
 
 
 def test_export_smv_unknown_block(capsys, tmp_path):
@@ -241,6 +240,43 @@ def test_export_smv_unknown_block(capsys, tmp_path):
     )
     assert code == 2
     assert "accessed block indexes: 0, 1, 2, 3" in err
+
+
+def test_export_smv_escapes_control_characters_in_comments(capsys, tmp_path):
+    evil = "x\nINVARSPEC FALSE;"
+    path = tmp_path / "evil.json"
+    path.write_text(cfg_text("a", ["a", evil, "c"], [("a", evil, 0), (evil, "c", 8)]),
+                    encoding="utf-8")
+    outdir = tmp_path / "smv"
+    code, out, err = run_cli(
+        capsys, "export-smv", str(path), *LOOP_FLAGS, "--mode", "mc-only", "--outdir", str(outdir)
+    )
+    assert (code, err) == (0, "")
+    labels = {"block0": "a->x\\nINVARSPEC FALSE;:b0#0", "block1": "x\\nINVARSPEC FALSE;->c:b1#0"}
+    assert len(out.split()) == len(labels)
+    for block, label in labels.items():
+        text = (outdir / f"evil.set0.{block}.smv").read_text(encoding="utf-8")
+        # one target access: its two checks, each under its escaped label
+        assert len(parse_module(text).specs) == 2, text
+        assert text.count(f"-- access {label}: always-") == 2, text
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", "..", "nul\0"])
+def test_export_smv_rejects_names_that_leave_outdir(capsys, tmp_path, name):
+    path = tmp_path / "prog.json"
+    path.write_text(cfg_text("a", ["a", "b"], [("a", "b", 0)], name=name), encoding="utf-8")
+    outdir = tmp_path / "deep" / "out"
+    code, out, err = run_cli(
+        capsys, "export-smv", str(path), "--mode", "mc-only", "--sets", "1",
+        "--outdir", str(outdir),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: program name ") and err.count("\n") == 1, err
+    assert not (tmp_path / "deep").exists()
+    # a report names no file after the program
+    code, out, err = run_cli(capsys, "analyze", str(path), "--mode", "mc-only")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["input"]["name"] == name
 
 
 def test_gen_writes_programs(capsys, tmp_path):
@@ -456,6 +492,12 @@ def test_config_file_errors(capsys, tmp_path):
         capsys, "analyze", str(LOOP_JSON), "--config", str(tmp_path / "missing.conf")
     )
     assert code == 4
+
+    not_utf8 = tmp_path / "not_utf8.conf"
+    not_utf8.write_bytes(b"mode = ai+mc\n\xff\n")
+    code, out, err = run_cli(capsys, "analyze", str(LOOP_JSON), "--config", str(not_utf8))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {not_utf8}: not valid UTF-8: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from helpers import (
     empty_state,
     encode_state,
     full_table,
+    pruned_cfg,
     pruned_model,
     random_programs,
     raw_model,
@@ -45,7 +46,10 @@ from lrucheck.cfg import (
     MemoryBlock,
     accesses_of,
     block_universe,
+    out_edges,
     project,
+    reverse_post_order,
+    skeleton,
 )
 from lrucheck.classify import Mode, _model_check
 from lrucheck.concrete import InitMode, StateSpace
@@ -190,11 +194,18 @@ def test_seeds_are_counted_without_enumeration():
     assert time.perf_counter() - t0 < 1.0
 
 
-def set_model(pg, analysis, focus, pruned, table):
-    """The focus's model of projection `pg` over `table`, pruned by `simplify_for` if `pruned`."""
-    if pruned:
-        return simplify_for(pg, focus, analysis.may, analysis.space, table)
-    return unsimplified_model(pg, focus, analysis.space, table)
+def set_models(pg, analysis, focus, pruned):
+    """The focus's models of projection `pg`, by table: its full table and its skeleton.
+
+    With `pruned`, of `pg` with the edges `simplify_for` prunes.
+    """
+    space = analysis.space
+    g = pruned_cfg(pg, focus, analysis.may, space) if pruned else pg
+    tables = {
+        "full": full_table(g, space.blocks),
+        "skeleton": skeleton(out_edges(g), g.entry, reverse_post_order(g), space.blocks),
+    }
+    return {name: unsimplified_model(g, focus, space, table) for name, table in tables.items()}
 
 
 @pytest.mark.parametrize("init", list(InitMode))
@@ -211,13 +222,15 @@ def test_mask_search_matches_reference_search(init):
             residual = analysis.residual_by_block()
             for simplified in (False, True):
                 for focus in space.blocks:
-                    model = set_model(pg, analysis, focus, simplified, full)
                     if simplified:
                         may = unpack_fixpoint(MAY, analysis.may, space)
                         edges = reference_simplified_edges(pg, focus, may, k, space)
+                        pruned = simplify_for(pg, focus, analysis.may, space)
+                        assert pruned == edges, (name, s, focus)
+                        model = pruned_model(pg, focus, analysis.may, space)
                     else:
                         edges = list(pg.edges)
-                    assert model.edges() == edges, (name, s, focus)
+                        model = unsimplified_model(pg, focus, space, full)
                     goal_sets = [None]
                     if focus in residual:
                         goal_sets.append(
@@ -325,10 +338,10 @@ def test_skeleton_search_matches_raw_search(init):
 def test_pruned_search_matches_plain_search(init):
     """May-based pruning changes no search, which is why the classification skips it.
 
-    On the full table and on the skeleton, with no goals, ai+mc goals and
-    mc-only goals, a search of the `simplify_for` model finds the same states
-    at every vertex as one of the `unsimplified_model` model, after exploring
-    as many pairs, and stops at the same point.
+    On the full table, with no goals, ai+mc goals and mc-only goals, a
+    search of the edges `simplify_for` prunes finds the same states at every
+    vertex as one of the projection's own edges, after exploring as many
+    pairs, and stops at the same point.
     """
     for name, config, g in search_cases() + skeleton_cases():
         k = config.associativity
@@ -337,21 +350,21 @@ def test_pruned_search_matches_plain_search(init):
             analysis = analyze_set(pg, k, init, Mode.AI_MC)
             if not analysis.accesses:
                 continue
-            tables = {"full": full_table(pg, analysis.space.blocks), "skeleton": analysis.adj}
+            space = analysis.space
+            full = full_table(pg, space.blocks)
             for focus, goal_sets in goal_cases(analysis):
-                for table_name, table in tables.items():
-                    plain = set_model(pg, analysis, focus, False, table)
-                    pruned = set_model(pg, analysis, focus, True, table)
-                    seeds = initial_focused(init)
-                    for goal_checks in goal_sets:
-                        goals = None
-                        if goal_checks is not None:
-                            goals = [(a.src, eh, em) for a, eh, em in goal_checks]
-                        want = focused_reach(plain, seeds, goals)
-                        got = focused_reach(pruned, seeds, goals)
-                        case = (name, s, focus, table_name, goals)
-                        assert got.states == want.states, case
-                        assert (got.explored, got.partial) == (want.explored, want.partial), case
+                plain = unsimplified_model(pg, focus, space, full)
+                pruned = pruned_model(pg, focus, analysis.may, space)
+                seeds = initial_focused(init)
+                for goal_checks in goal_sets:
+                    goals = None
+                    if goal_checks is not None:
+                        goals = [(a.src, eh, em) for a, eh, em in goal_checks]
+                    want = focused_reach(plain, seeds, goals)
+                    got = focused_reach(pruned, seeds, goals)
+                    case = (name, s, focus, goals)
+                    assert got.states == want.states, case
+                    assert (got.explored, got.partial) == (want.explored, want.partial), case
 
 
 def seed_facts(reach):
@@ -365,7 +378,8 @@ def seed_facts(reach):
 def assert_two_seeds_match_all_seeds(pg, k, init, case):
     """The two-seed search against the all-seed reference, on every model of a set.
 
-    Per block, on the full table and on the skeleton, plain and may-pruned:
+    Per block, on the full table and on the skeleton, of the projection's
+    edges and of the edges `simplify_for` prunes:
     complete searches agree on reachability, epsilon-presence and
     cached-presence at every vertex, and goal-directed searches (the ai+mc
     residual checks and the mc-only checks) give every checked access the
@@ -374,22 +388,21 @@ def assert_two_seeds_match_all_seeds(pg, k, init, case):
     analysis = analyze_set(pg, k, init, Mode.AI_MC)
     if not analysis.accesses:
         return
-    tables = {"full": full_table(pg, analysis.space.blocks), "skeleton": analysis.adj}
     seeds = initial_focused(init)
     for focus, goal_sets in goal_cases(analysis):
-        for (table_name, table), pruned in itertools.product(tables.items(), (False, True)):
-            model = set_model(pg, analysis, focus, pruned, table)
-            every = all_seed_masks(model, init)
-            where = (*case, k, init.value, focus.index, table_name, pruned)
-            want = focused_reach(model, every)
-            assert seed_facts(focused_reach(model, seeds)) == seed_facts(want), where
-            for checks in goal_sets[1:]:
-                goals = [(a.src, eh, em) for a, eh, em in checks]
-                two = focused_reach(model, seeds, goals)
-                ref = focused_reach(model, every, goals)
-                for a, eh, em in checks:
-                    fv = FinalVerdict(a, None, Provenance.UNRESOLVED, eh, em)
-                    assert _model_check(two, fv) == _model_check(ref, fv), (*where, a.label)
+        for pruned in (False, True):
+            for table_name, model in set_models(pg, analysis, focus, pruned).items():
+                every = all_seed_masks(model, init)
+                where = (*case, k, init.value, focus.index, table_name, pruned)
+                want = focused_reach(model, every)
+                assert seed_facts(focused_reach(model, seeds)) == seed_facts(want), where
+                for checks in goal_sets[1:]:
+                    goals = [(a.src, eh, em) for a, eh, em in checks]
+                    two = focused_reach(model, seeds, goals)
+                    ref = focused_reach(model, every, goals)
+                    for a, eh, em in checks:
+                        fv = FinalVerdict(a, None, Provenance.UNRESOLVED, eh, em)
+                        assert _model_check(two, fv) == _model_check(ref, fv), (*where, a.label)
 
 
 @pytest.mark.parametrize("init", list(InitMode))
@@ -461,10 +474,13 @@ def test_straightline_reach_golden(k2_config, straight2, simplified):
 
 def test_straightline_simplification_shape(k2_config, straight2):
     pg, model = straight_model(k2_config, straight2, simplified=True)
-    b = {blk.index: blk for blk in block_universe(pg)}
+    space = StateSpace(k=2, blocks=block_universe(pg))
+    b = {blk.index: blk for blk in space.blocks}
+    edges = simplify_for(pg, b[0], solve(MAY, pg, space), space)
+    assert [(e.src, e.dst) for e in edges] == [(e.src, e.dst) for e in pg.edges]
     # the first two accesses happen while the focus is provably uncached
     relabeled = [
-        (e.src, e.dst) for e, raw in zip(model.edges(), pg.edges)
+        (e.src, e.dst) for e, raw in zip(edges, pg.edges)
         if e.block is None and raw.block is not None
     ]
     assert relabeled == [("v0", "v1"), ("v1", "v2")]
@@ -481,8 +497,7 @@ def test_simplify_drops_new_noaccess_selfloops(k2_config):
     space = StateSpace(k=2, blocks=block_universe(pg))
     may = solve(MAY, pg, space)
     focus = space.blocks[0]
-    model = pruned_model(pg, focus, may, space)
-    pairs = [(e.src, e.dst, e.block) for e in model.edges()]
+    pairs = [(e.src, e.dst, e.block) for e in simplify_for(pg, focus, may, space)]
     assert pairs == [("e", "x", focus), ("e", "u", None)]
 
 
@@ -497,8 +512,10 @@ def test_simplify_handles_unreachable_vertices(k2_config):
     may = solve(MAY, pg, space)
     model = pruned_model(pg, space.blocks[0], may, space)
     assert model.universe == (space.blocks[1],)
-    dead_edge = [e for e in model.edges() if e.src == "dead"][0]
-    assert dead_edge.block is None
+    edges = simplify_for(pg, space.blocks[0], may, space)
+    assert [(e.src, e.dst, e.block) for e in edges] == [
+        ("a", "b", space.blocks[0]), ("dead", "b", None),
+    ]
 
 
 def loop_model(k2_config, loop2):

@@ -11,8 +11,7 @@ from helpers import (
     build_cfg,
     corpus_programs,
     decoded_states,
-    pruned_model,
-    raw_model,
+    full_table,
     reference_reach,
     reference_seeds,
     small_config,
@@ -21,57 +20,70 @@ from helpers import (
 from smv_eval import all_assignments, analyze, eval_expr, parse_module
 from test_ai import exists_miss_only_cfg
 from lrucheck.ai import MAY
-from lrucheck.cfg import MemoryBlock, accesses_of, block_universe, project
+from lrucheck.cfg import Cfg, MemoryBlock, accesses_of, block_universe, project
 from lrucheck.concrete import InitMode, StateSpace
 from lrucheck.focused import (
     export_smv,
     focused_reach,
     initial_focused,
+    simplify_for,
     smv_filename,
+    unsimplified_model,
 )
 
 
 def build_model(g, config, focus_index, simplified, init):
+    """Set 0's projection, state space and focus, and the edges `export-smv` renders.
+
+    Those are the edges `simplify_for` prunes if `simplified`, else the
+    projection's own.
+    """
     pg = project(g, 0, config)
-    universe = block_universe(pg)
-    focus = universe[focus_index]
-    k = config.associativity
+    space = StateSpace(k=config.associativity, blocks=block_universe(pg))
+    focus = space.blocks[focus_index]
     if simplified:
-        space = StateSpace(k=k, blocks=universe)
-        may = solve(MAY, pg, space, init)
-        return pg, pruned_model(pg, focus, may, space)
-    return pg, raw_model(pg, focus, k)
+        edges = simplify_for(pg, focus, solve(MAY, pg, space, init), space)
+    else:
+        edges = list(pg.edges)
+    return pg, space, focus, edges
+
+
+def export(g, config, focus_index, simplified, init, targets=None):
+    """The SMV text of `build_model`; targets default to the projection's accesses."""
+    pg, space, focus, edges = build_model(g, config, focus_index, simplified, init)
+    if targets is None:
+        targets = accesses_of(pg)
+    return export_smv(pg, edges, focus, space, init, targets)
 
 
 def assert_model_matches_search(g, config, focus_index, simplified, init):
-    pg, model = build_model(g, config, focus_index, simplified, init)
+    pg, space, focus, edges = build_model(g, config, focus_index, simplified, init)
     k = config.associativity
+    graph = Cfg(pg.entry, pg.vertices, tuple(edges), pg.name)
+    model = unsimplified_model(graph, focus, space, full_table(graph, space.blocks))
     # The SMV INIT admits every initial state, so the model is compared with
     # the all-seed reference search, and that with the two-seed search.
     seeds = reference_seeds(model.universe, k, init is InitMode.UNKNOWN)
-    graph = model.graph
-    states_at, _, _ = reference_reach(
-        graph.vertices, graph.entry, model.edges(), model.focus, k, seeds
-    )
+    states_at, _, _ = reference_reach(graph.vertices, graph.entry, edges, focus, k, seeds)
     reach = decoded_states(focused_reach(model, initial_focused(init)))
     for v in graph.vertices:
         assert (EPSILON in reach[v]) == (EPSILON in states_at[v]), (v, simplified, init)
         assert any(s is not EPSILON for s in reach[v]) == any(
             s is not EPSILON for s in states_at[v]
         ), (v, simplified, init)
-    targets = [a for a in accesses_of(pg) if a.block == model.focus]
-    text = export_smv(model, init, targets)
+    targets = [a for a in accesses_of(pg) if a.block == focus]
+    text = export_smv(pg, edges, focus, space, init, targets)
     module, reached, truths = analyze(text)
 
-    assert len(module.locations) == len(model.graph.vertices)
-    vertex_of = dict(zip(module.locations, model.graph.vertices))
+    assert len(module.locations) == len(graph.vertices)
+    vertex_of = dict(zip(module.locations, graph.vertices))
     bits = [n for n in module.booleans if n != "cached"]
 
     smv_by_vertex: dict = defaultdict(set)
     for env in reached:
         key = (env["cached"], frozenset(n for n in bits if env[n]))
         smv_by_vertex[vertex_of[env["loc"]]].add(key)
-    for v in model.graph.vertices:
+    for v in graph.vertices:
         encoded = set()
         for s in states_at[v]:
             if s is EPSILON:
@@ -94,19 +106,17 @@ def test_filename():
 
 
 def test_export_deterministic(k2_config, loop2):
-    pg, model = build_model(loop2, k2_config, 0, True, InitMode.EMPTY)
+    pg, space, focus, edges = build_model(loop2, k2_config, 0, True, InitMode.EMPTY)
     targets = accesses_of(pg)
-    once = export_smv(model, InitMode.EMPTY, targets)
-    again = export_smv(model, InitMode.EMPTY, targets)
+    once = export_smv(pg, edges, focus, space, InitMode.EMPTY, targets)
+    again = export_smv(pg, edges, focus, space, InitMode.EMPTY, targets)
     assert once == again
-    pg2, model2 = build_model(loop2, k2_config, 0, True, InitMode.EMPTY)
-    assert export_smv(model2, InitMode.EMPTY, accesses_of(pg2)) == once
+    assert export(loop2, k2_config, 0, True, InitMode.EMPTY) == once
 
 
 def test_export_golden_minimal(k2_config):
     g = build_cfg("a", ["a", "b"], [("a", "b", 0)], k2_config)
-    pg, model = build_model(g, k2_config, 0, False, InitMode.EMPTY)
-    text = export_smv(model, InitMode.EMPTY, accesses_of(pg))
+    text = export(g, k2_config, 0, False, InitMode.EMPTY)
     assert text == (
         "-- focused LRU cache model: block b0, cache set 0\n"
         "-- graph 'cfg'; associativity 2; initial cache empty\n"
@@ -128,8 +138,7 @@ def test_export_golden_minimal(k2_config):
 
 def test_location_names_sanitized(k2_config):
     g = build_cfg("entry.0", ["entry.0", "x-y"], [("entry.0", "x-y", 0)], k2_config)
-    pg, model = build_model(g, k2_config, 0, False, InitMode.EMPTY)
-    module = parse_module(export_smv(model, InitMode.EMPTY, []))
+    module = parse_module(export(g, k2_config, 0, False, InitMode.EMPTY, []))
     assert module.locations == ["L0_entry_0", "L1_x_y"]
 
 
@@ -168,8 +177,9 @@ def test_unknown_init_predicate_matches_initial_states(k2_config):
         [("a", "b", 0), ("b", "c", 8), ("c", "d", 16)],
         k2_config,
     )
-    pg, model = build_model(g, k2_config, 0, False, InitMode.UNKNOWN)
-    module = parse_module(export_smv(model, InitMode.UNKNOWN, []))
+    _, space, focus, _ = build_model(g, k2_config, 0, False, InitMode.UNKNOWN)
+    universe = tuple(b for b in space.blocks if b != focus)
+    module = parse_module(export(g, k2_config, 0, False, InitMode.UNKNOWN, []))
     bits = [n for n in module.booleans if n != "cached"]
     satisfying = {
         (env["loc"], env["cached"], frozenset(n for n in bits if env[n]))
@@ -178,7 +188,7 @@ def test_unknown_init_predicate_matches_initial_states(k2_config):
     }
     entry_sym = module.locations[0]
     expected = set()
-    for s in reference_seeds(model.universe, 2, True):
+    for s in reference_seeds(universe, 2, True):
         if s is EPSILON:
             expected.add((entry_sym, False, frozenset()))
         else:
